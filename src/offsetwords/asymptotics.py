@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BigCount, OffsetVector, as_offset, count_offset_words
+from .core import BigCount, OffsetVector, as_offset, count_offset_words, count_orders
 from .errors import BudgetExceededError
 from .series import XSeries
 
@@ -294,7 +294,7 @@ _PROBE_TERM_CAP = 5_000_000
 
 def _probe_guard(n: int, xi: OffsetVector) -> None:
     if xi.is_constant():
-        return  # orbit regrouping keeps constant offsets cheap
+        return  # the grouped-letter fold keeps constant offsets cheap
     if math.comb(n + xi.d - 1, xi.d - 1) > _PROBE_TERM_CAP:
         raise BudgetExceededError(
             f"exact count at n={n}, d={xi.d} needs more than {_PROBE_TERM_CAP} composition terms"
@@ -318,7 +318,7 @@ def ratio_probe(regime: str, sweep: Sequence[int], **params) -> list:
         xi = as_offset(params["xi"])
         for n in sweep:
             _probe_guard(n, xi)
-            exact = count_offset_words(n, xi)
+        for n, exact in zip(sweep, count_orders(sweep, xi)):
             est = laplace_estimate(n, xi)
             rows.append(ProbeRow(n, exact, est.value, _ratio(exact, est)))
     elif regime == "stationary_phase":

@@ -25,7 +25,7 @@ from .oracle import OracleBudget, oracle_count, oracle_words
 from .parseval import pair_roster, parseval_lhs, parseval_numeric_check, parseval_rhs_series
 from .quadrature import integral_count, quadrature_threshold
 from .series import fourier_coefficient_series, ogf_w, spectral_series
-from .verify import NAMED_SUITES, run_suites
+from .verify import SUITES, run_suites
 
 SPHASE_CAVEAT = (
     "# ray-regime formula caveat: against exact counts the observed decay is "
@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="key=value settings file")
     parser.add_argument(
-        "--workers", type=int, help="worker processes for big counts (default: all cores)"
+        "--workers",
+        type=int,
+        help="worker processes for big non-constant counts (default: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_parseval)
 
     p = sub.add_parser("verify", help="run self-check suites")
-    p.add_argument("--suite", choices=NAMED_SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -4,13 +4,16 @@ An offset word of order n with offset xi in Z^d is a string ww' over the
 alphabet [1:d] of length 2n + ||xi||_1 whose two halves have Parikh vectors
 differing by exactly xi.  Abelian squares are the xi = 0 case.  Counts are
 obtained by summing products of multinomial coefficients over the weak
-compositions of n into d parts; everything here is exact integer arithmetic.
+compositions of n into d parts, or, for whole rows and constant offsets, by
+folding the split-alphabet recurrence over groups of equal letters;
+everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -215,59 +218,97 @@ def _chunk_sum(args) -> BigCount:
     return total
 
 
-def _partitions_at_most(n: int, parts: int, cap: int | None = None) -> Iterator[tuple]:
-    """Partitions of n into at most ``parts`` parts, largest-first tuples."""
-    if cap is None:
-        cap = n
-    if n == 0:
-        yield ()
-        return
-    if parts == 0:
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_at_most(n - first, parts - 1, first):
-            yield (first,) + rest
+class _Row(NamedTuple):
+    """Counts w_A(0..n) of a sub-alphabet A, with the sums P = |xi_A^+| and
+    M = |xi_A^-| of its offset parts."""
+
+    counts: list
+    plus: int
+    minus: int
 
 
-def _count_constant_offset(n: int, d: int, m: int) -> BigCount:
-    """count_offset_words for xi = m * 1_d, regrouping the composition sum by
-    the orbit of nu under coordinate permutations (the summand only depends on
-    the multiset of parts when the offset is constant)."""
-    am = abs(m)
-    total = 0
-    fact_d = math.factorial(d)
-    for part in _partitions_at_most(n, d):
-        padded = part + (0,) * (d - len(part))
-        orbit = fact_d
-        run = 1
-        for i in range(1, d):
-            if padded[i] == padded[i - 1]:
-                run += 1
+def _binomials(top: int, low: int, count: int) -> list:
+    """[C(top, low), C(top, low + 1), ..., C(top, low + count - 1)]."""
+    out = [math.comb(top, low)]
+    for k in range(low, low + count - 1):
+        out.append(out[-1] * (top - k) // (k + 1))
+    return out
+
+
+def _merge(a: _Row, b: _Row, orders) -> _Row:
+    """Counts of the disjoint union of A and B at each order s in ``orders``,
+    by the split-alphabet recurrence
+    w(s) = sum_i C(s+P, i+P_A) C(s+M, i+M_A) w_A(i) w_B(s-i)."""
+    plus = a.plus + b.plus
+    minus = a.minus + b.minus
+    x, y = a.counts, b.counts
+    out = []
+    for s in orders:
+        cp = _binomials(s + plus, a.plus, s + 1)
+        cm = _binomials(s + minus, a.minus, s + 1)
+        out.append(sum(cp[i] * cm[i] * x[i] * y[s - i] for i in range(s + 1)))
+    return _Row(out, plus, minus)
+
+
+def count_orders(orders: Sequence[int], xi) -> list:
+    """[w(s, xi) for s in orders], from one fold of the alphabet up to the
+    largest order, one group of equal letters at a time.
+
+    Letters with equal offset parts (xi_j^+, xi_j^-) have equal rows, so a
+    group of k of them is the k-th power of one letter under the merge and is
+    built by repeated squaring.  The top square of each group is left as two
+    factors, so the last merge computes only the orders asked for.
+    """
+    orders = list(orders)
+    if any(s < 0 for s in orders):
+        raise ValueError("order n must be nonnegative")
+    if not orders:
+        return []
+    plus, minus = sign_split(xi)
+    top = max(orders)
+    full = range(top + 1)
+    factors = []
+    for (p, q), k in sorted(Counter(zip(plus, minus)).items()):
+        base = _Row([1] * (top + 1), p, q)  # one letter: w(s) = 1 at every order
+        while k > 1:
+            if k & 1:
+                factors.append(base)
+            k >>= 1
+            if k > 1:
+                base = _merge(base, base, full)
             else:
-                orbit //= math.factorial(run)
-                run = 1
-        orbit //= math.factorial(run)
-        base = multinomial(padded)
-        if am == 0:
-            total += orbit * base * base
-        else:
-            total += orbit * base * multinomial(tuple(v + am for v in padded))
-    return total
+                factors.append(base)
+        factors.append(base)
+    if len(factors) == 1:  # d = 1
+        return [1] * len(orders)
+    row = factors[0]
+    for factor in factors[1:-1]:
+        row = _merge(row, factor, full)
+    return _merge(row, factors[-1], orders).counts
+
+
+def count_row(n: int, xi) -> list:
+    """[w(0, xi), ..., w(n, xi)]: every order up to n from one grouped-letter fold."""
+    if n < 0:
+        raise ValueError("order n must be nonnegative")
+    return count_orders(range(n + 1), xi)
 
 
 def count_offset_words(n: int, xi, workers: int = 1) -> BigCount:
     """Number of order-n words offset by xi: the exact sum over weak
     compositions nu of n of multinomial(nu + xi^+) * multinomial(nu + xi^-).
 
-    ``workers`` > 1 chunks the composition stream by its most significant
-    coordinate and reduces in parallel; integer addition makes the result
-    identical to the sequential sum.
+    Constant offsets m*1_d take the grouped-letter fold of count_orders;
+    other offsets sum the compositions.  ``workers`` > 1 chunks that
+    composition stream by its most significant coordinate and reduces in
+    parallel; integer addition makes the result identical to the sequential
+    sum.
     """
     if n < 0:
         raise ValueError("order n must be nonnegative")
     xi = as_offset(xi)
     if xi.is_constant():
-        return _count_constant_offset(n, xi.d, xi.components[0])
+        return count_orders((n,), xi)[0]
     plus, minus = sign_split(xi)
     d = xi.d
     if workers is None or workers < 1:

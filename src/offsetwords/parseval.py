@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .core import classify_splits, count_offset_words, weak_compositions
+from .core import classify_splits, count_row, weak_compositions
 from .errors import BudgetExceededError
 from .quadrature import density_square_mean
 from .series import XSeries, spectral_series
@@ -60,7 +60,7 @@ def parseval_lhs(d: int, k_max: int, _cache: dict | None = None) -> XSeries:
         key = _canonical(xi)
         counts = cache.get(key)
         if counts is None or len(counts) < budget + 1:
-            counts = [count_offset_words(n, xi) for n in range(budget + 1)]
+            counts = count_row(budget, xi)
             cache[key] = counts
         for n1 in range(budget + 1):
             for n2 in range(budget + 1 - n1):
@@ -77,11 +77,16 @@ def parseval_rhs_series(d: int, k_max: int) -> XSeries:
     if k_max > PARSEVAL_K_CAP:
         raise BudgetExceededError(f"k = {k_max} exceeds cap {PARSEVAL_K_CAP} (O(k^d) offsets)")
     table = spectral_series(d, 1, 2 * k_max)
-    acc = [Fraction(0)] * (2 * k_max + 1)
+    acc = [0] * (2 * k_max + 1)
     for exp in table.exponents():
-        squared = table.entries[exp] * table.entries[exp]
-        for k, c in enumerate(squared.coeffs):
-            acc[k] += c
+        coeffs = table.entries[exp].coeffs
+        if any(c.denominator != 1 for c in coeffs):
+            raise ArithmeticError(f"entry {exp} has a non-integer coefficient")
+        row = [c.numerator for c in coeffs]
+        for i, a in enumerate(row):
+            if a:
+                for j in range(len(row) - i):
+                    acc[i + j] += a * row[j]
     for k in range(1, 2 * k_max + 1, 2):
         if acc[k] != 0:
             raise ArithmeticError(f"odd-length coefficient {k} should vanish, got {acc[k]}")

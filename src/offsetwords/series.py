@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import as_offset, count_offset_words, multinomial, weak_compositions
+from .core import as_offset, count_row, multinomial, weak_compositions
 
 
 def _as_fraction(v) -> Fraction:
@@ -259,18 +259,16 @@ def fourier_coefficient_series(xi, d: int, r: int, truncation: int) -> XSeries:
     eta = xi.scale_down(r)
     coeffs = [Fraction(0)] * (truncation + 1)
     norm = eta.one_norm
-    n = 0
-    while 2 * n + norm <= truncation:
-        coeffs[2 * n + norm] = Fraction(count_offset_words(n, eta))
-        n += 1
+    if norm <= truncation:
+        for n, w in enumerate(count_row((truncation - norm) // 2, eta)):
+            coeffs[2 * n + norm] = Fraction(w)
     return XSeries(tuple(coeffs))
 
 
 def ogf_w(xi, truncation: int) -> XSeries:
     """Order-indexed generating function: coefficient of x^n is the count of
     order-n words offset by xi."""
-    xi = as_offset(xi)
-    return XSeries(tuple(Fraction(count_offset_words(n, xi)) for n in range(truncation + 1)))
+    return XSeries(tuple(Fraction(w) for w in count_row(truncation, xi)))
 
 
 def verify_determinantal(x, z: Sequence[complex], r: int, tol: float = 1e-12) -> bool:

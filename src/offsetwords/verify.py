@@ -505,8 +505,6 @@ SUITES: dict[str, Callable[[], list]] = {
     "asymptotics": suite_asymptotics,
 }
 
-NAMED_SUITES = ("oracle", "recurrence", "divisibility", "bessel", "parseval")
-
 
 def run_suites(selection: str) -> list:
     """Run one named suite, or every registered suite for 'all'."""

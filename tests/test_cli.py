@@ -3,6 +3,7 @@ import json
 import pytest
 
 from offsetwords.cli import main
+from offsetwords.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -107,9 +108,11 @@ def test_parseval_report(capsys):
 
 
 def test_verify_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "bessel")
-    assert code == 0
-    assert "[PASS]" in out and "[FAIL]" not in out
+    # every registered suite is selectable by name
+    for suite in SUITES:
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0, suite
+        assert f"[PASS] {suite}:" in out and "[FAIL]" not in out, suite
 
 
 def test_usage_errors_exit_2(capsys):

@@ -2,12 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetwords import core
+from offsetwords.asymptotics import w_via_bessel
 from offsetwords.core import (
     OffsetVector,
     classify_splits,
     count_offset_words,
+    count_orders,
+    count_row,
     multinomial,
     mutuality,
     parikh,
@@ -100,18 +105,68 @@ def test_count_is_one_for_single_letter_alphabet():
             assert count_offset_words(n, (xi,)) == 1
 
 
+def raw_count(n, xi):
+    plus, minus = sign_split(xi)
+    return sum(core._composition_term(nu, plus, minus) for nu in weak_compositions(n, len(xi)))
+
+
 def test_constant_offset_path_matches_generic_sum():
-    # the orbit-regrouped path must produce the same sum as the raw
+    # the grouped-letter fold must produce the same sum as the raw
     # composition stream
     for d in (1, 2, 3, 4):
         for m in (-2, -1, 0, 1, 2):
             for n in range(6):
                 xi = (m,) * d
-                plus, minus = sign_split(xi)
-                direct = sum(
-                    core._composition_term(nu, plus, minus) for nu in weak_compositions(n, d)
-                )
-                assert count_offset_words(n, xi) == direct
+                assert count_offset_words(n, xi) == raw_count(n, xi)
+
+
+# Highest order per alphabet size that keeps the raw composition sums of a
+# whole row near 10^4 terms.
+RAW_ORDER_CAP = {1: 25, 2: 25, 3: 25, 4: 20, 5: 12, 6: 9}
+
+
+@st.composite
+def grouped_offsets(draw):
+    """Offsets in dimension d <= 6 whose entries come from a pool of at most
+    three values, so repeated letter groups and constant offsets are common."""
+    d = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=grouped_offsets(), data=st.data())
+def test_count_row_matches_point_counts_and_raw_sum(xi, data):
+    n = data.draw(st.integers(0, RAW_ORDER_CAP[len(xi)]), label="n")
+    row = count_row(n, xi)
+    assert row == [raw_count(k, xi) for k in range(n + 1)]
+    assert row == [count_offset_words(k, xi) for k in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=grouped_offsets(), n=st.integers(0, 25), data=st.data())
+def test_count_row_is_invariant_under_permutation_and_negation(xi, n, data):
+    perm = data.draw(st.permutations(xi), label="permuted")
+    row = count_row(n, xi)
+    assert count_row(n, tuple(perm)) == row
+    assert count_row(n, tuple(-c for c in xi)) == row
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 60), m=st.integers(-3, 3), n=st.integers(0, 12))
+def test_constant_rows_match_bessel_route(d, m, n):
+    assert count_row(n, (m,) * d) == [w_via_bessel(k, m, d) for k in range(n + 1)]
+
+
+def test_count_orders_reads_the_row_in_request_order():
+    xi = (2, -1, -1, 0)
+    row = count_row(9, xi)
+    assert count_orders([9, 0, 4, 9], xi) == [row[9], row[0], row[4], row[9]]
+    assert count_orders([], xi) == []
+    with pytest.raises(ValueError):
+        count_orders([3, -1], xi)
+    with pytest.raises(ValueError):
+        count_row(-1, xi)
 
 
 def test_parallel_reduction_is_bit_identical(monkeypatch):
