@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .core import BigCount, OffsetVector, as_offset, count_offset_words, count_orders
 from .errors import BudgetExceededError
 from .series import XSeries
@@ -105,6 +103,8 @@ def stationary_phase_hessian_det(xi, d: int | None = None) -> float:
         raise ValueError("the Hessian determinant needs d >= 2")
     c = xi.one_norm / d
     closed = c**d * (d + 1)
+    import numpy as np
+
     mat = 2 * c * np.eye(d) - c * (np.eye(d, k=1) + np.eye(d, k=-1))
     numeric = float(np.linalg.det(mat))
     if abs(numeric - closed) > 1e-12 * max(1.0, abs(closed)):

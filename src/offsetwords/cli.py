@@ -149,10 +149,8 @@ def _cmd_asympt(args, settings: Settings) -> int:
 
 
 def _cmd_parseval(args, settings: Settings) -> int:
-    if args.k > settings.parseval_k_cap:
-        raise BudgetExceededError(f"k {args.k} exceeds cap {settings.parseval_k_cap}")
-    lhs = parseval_lhs(args.d, args.k)
-    rhs = parseval_rhs_series(args.d, args.k)
+    lhs = parseval_lhs(args.d, args.k, k_cap=settings.parseval_k_cap)
+    rhs = parseval_rhs_series(args.d, args.k, k_cap=settings.parseval_k_cap)
     agree = lhs.coeffs == rhs.coeffs
     report = {
         "d": args.d,

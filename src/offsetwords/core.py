@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -314,6 +313,8 @@ def count_offset_words(n: int, xi, workers: int = 1) -> BigCount:
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     if workers > 1 and d > 1 and math.comb(n + d - 1, d - 1) > _PARALLEL_MIN_TERMS:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(n, t, plus, minus) for t in range(n + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(_chunk_sum, jobs, chunksize=8))

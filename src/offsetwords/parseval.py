@@ -20,9 +20,17 @@ from typing import Iterator, NamedTuple
 from .core import classify_splits, count_row, weak_compositions
 from .errors import BudgetExceededError
 from .quadrature import density_square_mean
-from .series import XSeries, spectral_series
+from .series import XSeries, spectral_rows
 
 PARSEVAL_K_CAP = 12
+
+
+def _check_k_cap(k_max: int, k_cap: int) -> None:
+    if k_max > k_cap:
+        raise BudgetExceededError(
+            f"k = {k_max} exceeds cap {k_cap} (O(k^d) offsets); raise parseval_k_cap "
+            "in the config file or OFFSETWORDS_PARSEVAL_K_CAP"
+        )
 
 
 def offsets_with_norm_at_most(d: int, bound: int) -> Iterator[tuple]:
@@ -44,14 +52,13 @@ def _canonical(xi: tuple) -> tuple:
     return min(a, b)
 
 
-def parseval_lhs(d: int, k_max: int, _cache: dict | None = None) -> XSeries:
+def parseval_lhs(d: int, k_max: int, _cache: dict | None = None, *, k_cap: int = PARSEVAL_K_CAP) -> XSeries:
     """Coefficient of x^k: sum over xi and n1+n2+||xi||_1 = k of w_(n1,xi) w_(n2,xi).
 
     Counts ordered pairs of offset-xi words with total length 2k, summed over
-    xi with multiplicity.
+    xi with multiplicity.  ``k_cap`` bounds k_max.
     """
-    if k_max > PARSEVAL_K_CAP:
-        raise BudgetExceededError(f"k = {k_max} exceeds cap {PARSEVAL_K_CAP} (O(k^d) offsets)")
+    _check_k_cap(k_max, k_cap)
     cache = _cache if _cache is not None else {}
     coeffs = [Fraction(0)] * (k_max + 1)
     for xi in offsets_with_norm_at_most(d, k_max):
@@ -68,21 +75,16 @@ def parseval_lhs(d: int, k_max: int, _cache: dict | None = None) -> XSeries:
     return XSeries(tuple(coeffs))
 
 
-def parseval_rhs_series(d: int, k_max: int) -> XSeries:
+def parseval_rhs_series(d: int, k_max: int, *, k_cap: int = PARSEVAL_K_CAP) -> XSeries:
     """Same coefficients obtained by squaring the spectral-density expansion.
 
-    Every entry of the by-length table is squared and summed; surviving
-    exponents are even and are halved to land on the common index.
+    Every integer row of the by-length table is squared and summed; surviving
+    exponents are even and are halved to land on the common index.  ``k_cap``
+    bounds k_max.
     """
-    if k_max > PARSEVAL_K_CAP:
-        raise BudgetExceededError(f"k = {k_max} exceeds cap {PARSEVAL_K_CAP} (O(k^d) offsets)")
-    table = spectral_series(d, 1, 2 * k_max)
+    _check_k_cap(k_max, k_cap)
     acc = [0] * (2 * k_max + 1)
-    for exp in table.exponents():
-        coeffs = table.entries[exp].coeffs
-        if any(c.denominator != 1 for c in coeffs):
-            raise ArithmeticError(f"entry {exp} has a non-integer coefficient")
-        row = [c.numerator for c in coeffs]
+    for row in spectral_rows(d, 1, 2 * k_max).values():
         for i, a in enumerate(row):
             if a:
                 for j in range(len(row) - i):

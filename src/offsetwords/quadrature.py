@@ -11,18 +11,21 @@ doubling (M against 2M).
 
 Grid means are reduced with numpy's pairwise summation, so results are
 deterministic and independent of worker counts to well below the asserted
-tolerances.
+tolerances.  numpy is imported by the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import as_offset, sign_split
 from .errors import BudgetExceededError, StabilityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GRID_POINT_CAP = 40_000_000
 
@@ -48,10 +51,14 @@ class TorusGrid:
             )
 
     def axis(self) -> np.ndarray:
+        import numpy as np
+
         return 2.0 * np.pi * np.arange(self.points_per_axis) / self.points_per_axis
 
     def phase_sum(self, r: int = 1) -> np.ndarray:
         """p(theta) = sum_j e^(i r theta_j) over the full grid, shape (M,)*d."""
+        import numpy as np
+
         M, d = self.points_per_axis, self.d
         unit = np.exp(1j * r * self.axis())
         total = np.zeros((M,) * d, dtype=complex)
@@ -63,6 +70,8 @@ class TorusGrid:
 
     def mean_with_phase(self, values: np.ndarray, xi) -> complex:
         """Grid mean of exp(-i xi.theta) * values, contracted one axis at a time."""
+        import numpy as np
+
         xi = as_offset(xi)
         M = self.points_per_axis
         work = np.asarray(values, dtype=complex)
@@ -80,6 +89,8 @@ def quadrature_threshold(n: int, xi) -> int:
 
 def integral_mean(n: int, xi, grid_size: int) -> complex:
     """Raw grid mean of the count integrand (complex; imaginary part is noise)."""
+    import numpy as np
+
     xi = as_offset(xi)
     plus, minus = sign_split(xi)
     grid = TorusGrid(xi.d, grid_size)
@@ -109,6 +120,8 @@ def integral_count(n: int, xi, grid_size: int | None = None) -> float:
 
 def spectral_density_eval(x: float, theta, d: int | None = None, r: int = 1) -> float:
     """|1 - x sum_j e^(i r theta_j)|^(-2) at a torus point; needs |x| < 1/d."""
+    import numpy as np
+
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if d is None:
         d = theta.shape[-1]
@@ -122,6 +135,8 @@ def spectral_density_eval(x: float, theta, d: int | None = None, r: int = 1) -> 
 
 @functools.lru_cache(maxsize=8)
 def _density_grid(d: int, r: int, x: float, grid_size: int) -> np.ndarray:
+    import numpy as np
+
     grid = TorusGrid(d, grid_size)
     p = grid.phase_sum(r=r)
     return 1.0 / np.abs(1.0 - x * p) ** 2

@@ -5,7 +5,9 @@ restricted to the torus expands, via the MacMahon master theorem, into
 multinomial-product terms indexed by pairs of compositions (kappa, kappa').
 Collecting the terms by their z-exponent vector gives a table whose entry at
 xi is an ordinary power series in x; those entries are exactly the generating
-functions of the offset-word counts.
+functions of the offset-word counts.  The table is built in integers by a
+layer recurrence that never consults the counting kernel, so it stays an
+independent route.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .core import as_offset, count_row, multinomial, weak_compositions
+from .core import as_offset, count_row
 
 
 def _as_fraction(v) -> Fraction:
@@ -214,33 +215,67 @@ class LaurentTable:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _composition_monomials(d: int, size: int) -> dict:
-    """{kappa: multinomial(kappa)} over all |kappa| = size -- the monomials of
-    (z_1 + ... + z_d)^size."""
-    return {nu: multinomial(nu) for nu in weak_compositions(size, d)}
+def _shift_add(layer: dict, steps: list, out: dict) -> dict:
+    """Add layer * (sum of the monomials whose packed exponents are steps) into out."""
+    for key, c in layer.items():
+        for step in steps:
+            k = key + step
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def spectral_rows(d: int, r: int, truncation: int) -> dict:
+    """{eta: [c_0, ..., c_truncation]} in plain ints: c_n is the x^n coefficient
+    of the spectral density of 1 - x(z_1^r+...+z_d^r) at z^eta.
+
+    With S(z) = z_1 + ... + z_d the x^n layer is
+    Q_n = sum_k S(z^r)^k S(z^-r)^(n-k), the Cauchy product of the geometric
+    series 1/(1 - x S(z^r)) and 1/(1 - x S(z^-r)), i.e. the MacMahon pair sum
+    of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n with
+    r*(kappa - kappa') = eta.  It is built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.
+    """
+    if d < 1 or r < 1 or truncation < 0:
+        raise ValueError("need d >= 1, r >= 1, truncation >= 0")
+    # Kronecker substitution: eta is packed as the int sum_j (eta_j + reach) base^j,
+    # which is unique since |eta_j| <= reach, and z_j^(+-r) adds +-r base^j.
+    reach = r * truncation
+    base = 2 * reach + 1
+    up = [r * base**j for j in range(d)]
+    down = [-step for step in up]
+    origin = sum(reach * base**j for j in range(d))
+    layer = {origin: 1}  # Q_n
+    power = {origin: 1}  # S(z^-r)^n
+    rows = {origin: [1] + [0] * truncation}
+    for n in range(1, truncation + 1):
+        power = _shift_add(power, down, {})
+        layer = _shift_add(layer, up, dict(power))
+        for key, c in layer.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * (truncation + 1)
+            row[n] = c
+    unpacked = {}
+    for key, row in rows.items():
+        eta = []
+        for _ in range(d):
+            key, digit = divmod(key, base)
+            eta.append(digit - reach)
+        unpacked[tuple(eta)] = row
+    return unpacked
 
 
 def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     """Expand the spectral density of 1 - x(z_1^r+...+z_d^r) through x^truncation.
 
     The x^n coefficient at exponent eta sums multinomial(kappa)*multinomial(kappa')
-    over pairs with |kappa| + |kappa'| = n and r*(kappa - kappa') = eta.
+    over pairs with |kappa| + |kappa'| = n and r*(kappa - kappa') = eta; the
+    integers come from ``spectral_rows``.
     """
-    if d < 1 or r < 1 or truncation < 0:
-        raise ValueError("need d >= 1, r >= 1, truncation >= 0")
-    layers = [_composition_monomials(d, k) for k in range(truncation + 1)]
-    table: dict = {}
-    for n in range(truncation + 1):
-        for k in range(n + 1):
-            for kappa, a in layers[k].items():
-                for kappa_p, b in layers[n - k].items():
-                    eta = tuple(r * (x - y) for x, y in zip(kappa, kappa_p))
-                    row = table.get(eta)
-                    if row is None:
-                        row = [Fraction(0)] * (truncation + 1)
-                        table[eta] = row
-                    row[n] += a * b
-    entries = {eta: XSeries(tuple(row)) for eta, row in table.items()}
+    rows = spectral_rows(d, r, truncation)
+    # one Fraction per distinct value: rows repeat across symmetric exponents
+    # and are mostly zero
+    fractions = {c: Fraction(c) for c in set(chain.from_iterable(rows.values()))}
+    entries = {eta: XSeries(tuple(map(fractions.__getitem__, row))) for eta, row in rows.items()}
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)
 
 
@@ -273,6 +308,8 @@ def ogf_w(xi, truncation: int) -> XSeries:
 
 def verify_determinantal(x, z: Sequence[complex], r: int, tol: float = 1e-12) -> bool:
     """Check det(I_d - x J_d diag(z^r)) == 1 - x sum(z^r) at a point on the torus."""
+    import numpy as np
+
     zarr = np.asarray(z, dtype=complex)
     if np.max(np.abs(np.abs(zarr) - 1.0)) > 1e-9:
         raise ValueError("points must lie on the unit polycircle")

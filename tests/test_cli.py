@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import offsetwords
 from offsetwords.cli import main
 from offsetwords.verify import SUITES
 
@@ -107,6 +112,16 @@ def test_parseval_report(capsys):
     assert code == 3
 
 
+def test_parseval_cap_follows_config(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "parseval", "--d", "2", "--k", "13", "--json")
+    assert code == 3
+    assert "parseval_k_cap" in err and "OFFSETWORDS_PARSEVAL_K_CAP" in err
+    monkeypatch.setenv("OFFSETWORDS_PARSEVAL_K_CAP", "14")
+    code, out, _ = run_cli(capsys, "parseval", "--d", "2", "--k", "13", "--json")
+    assert code == 0
+    assert json.loads(out)["squared_expansion_agrees"] is True
+
+
 def test_verify_suite(capsys):
     # every registered suite is selectable by name
     for suite in SUITES:
@@ -139,3 +154,11 @@ def test_bad_config_file(capsys, tmp_path):
     cfg.write_text("nonsense_key = 3\n")
     code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
     assert code == 2 and "nonsense_key" in err
+
+
+def test_import_loads_neither_numpy_nor_multiprocessing():
+    # numpy and the process pool are imported only by the code that uses them
+    env = dict(os.environ, PYTHONPATH=str(Path(offsetwords.__file__).parents[1]))
+    code = "import offsetwords, offsetwords.cli, sys; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -35,6 +35,8 @@ def test_lhs_equals_rhs_exactly():
     for d in (1, 2, 3):
         for k in (2, 4):
             assert parseval_lhs(d, k).coeffs == parseval_rhs_series(d, k).coeffs, (d, k)
+    for k in range(5):
+        assert parseval_lhs(4, k).coeffs == parseval_rhs_series(4, k).coeffs, (4, k)
 
 
 def test_triple_agreement_with_brute_force():
@@ -54,6 +56,9 @@ def test_cap_refusal():
         parseval_lhs(3, 13)
     with pytest.raises(BudgetExceededError):
         parseval_rhs_series(2, 40)
+    with pytest.raises(BudgetExceededError, match="OFFSETWORDS_PARSEVAL_K_CAP"):
+        parseval_rhs_series(2, 15, k_cap=14)
+    assert parseval_lhs(2, 13, k_cap=14).coeffs == parseval_rhs_series(2, 13, k_cap=14).coeffs
 
 
 def test_numeric_check():

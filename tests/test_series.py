@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from offsetwords.core import OffsetVector, count_offset_words
+from offsetwords.core import OffsetVector, count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
 from offsetwords.parseval import offsets_with_norm_at_most
 from offsetwords.series import (
@@ -108,6 +108,30 @@ def test_spectral_series_small_entries():
     assert t_r2.entry((1, 0)).is_zero()
     assert (1, 0) not in t_r2.entries
     assert t_r2.entry((2, 0)).coeffs == table2.entry((1, 0)).coeffs
+
+
+def pair_sum_table(d, r, truncation):
+    """The MacMahon pair sum by definition: multinomial(kappa) * multinomial(kappa')
+    at x^(|kappa| + |kappa'|) and exponent r * (kappa - kappa')."""
+    layers = [{nu: multinomial(nu) for nu in weak_compositions(k, d)} for k in range(truncation + 1)]
+    table = {}
+    for n in range(truncation + 1):
+        for k in range(n + 1):
+            for kappa, a in layers[k].items():
+                for kappa_p, b in layers[n - k].items():
+                    eta = tuple(r * (x - y) for x, y in zip(kappa, kappa_p))
+                    table.setdefault(eta, [0] * (truncation + 1))[n] += a * b
+    return table
+
+
+@pytest.mark.parametrize("d,truncation", [(1, 20), (2, 10), (3, 7), (4, 6)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_spectral_series_matches_pair_sum(d, r, truncation):
+    expected = pair_sum_table(d, r, truncation)
+    table = spectral_series(d, r, truncation)
+    assert set(table.entries) == set(expected)
+    for eta, row in expected.items():
+        assert table.entries[eta].coeffs == tuple(F(c) for c in row), eta
 
 
 def test_extraction_consistency():
