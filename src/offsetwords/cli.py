@@ -19,7 +19,7 @@ from .asymptotics import (
     stationary_phase_estimate,
 )
 from .config import Settings, load_settings
-from .core import as_offset, count_offset_words
+from .core import as_offset, count_offset_words, count_orders
 from .errors import BudgetExceededError
 from .oracle import OracleBudget, oracle_count, oracle_words
 from .parseval import pair_roster, parseval_lhs, parseval_numeric_check, parseval_rhs_series
@@ -70,8 +70,7 @@ def _budget(settings: Settings) -> OracleBudget:
 
 
 def _cmd_count(args, settings: Settings) -> int:
-    workers = args.workers if args.workers is not None else settings.workers
-    print(count_offset_words(args.n, args.xi, workers=workers))
+    print(count_orders((args.n,), args.xi)[0])
     return 0
 
 
@@ -219,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="key=value settings file")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes for big non-constant counts (default: all cores)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact offset-word count")
@@ -290,7 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = load_settings(args.config, overrides={"workers": args.workers})
+        settings = load_settings(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

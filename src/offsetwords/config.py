@@ -1,4 +1,4 @@
-"""Layered runtime configuration: config file < environment < CLI flags."""
+"""Layered runtime configuration: defaults < config file < environment."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ class Settings:
     spectral_trunc_cap: int = 40
     parseval_k_cap: int = 12
     grid_default: int = 64
-    workers: int = 0  # 0 = all available cores; results are worker-count independent
 
     @staticmethod
     def field_names() -> tuple:
@@ -41,8 +40,8 @@ def load_file(path: str) -> dict:
     return values
 
 
-def load_settings(config_path: str | None = None, overrides: dict | None = None) -> Settings:
-    """Resolve settings with precedence: defaults < file < env < explicit overrides."""
+def load_settings(config_path: str | None = None) -> Settings:
+    """Resolve settings with precedence: defaults < file < env."""
     settings = Settings()
     if config_path:
         settings = replace(settings, **load_file(config_path))
@@ -53,8 +52,4 @@ def load_settings(config_path: str | None = None, overrides: dict | None = None)
             env_values[name] = int(raw)
     if env_values:
         settings = replace(settings, **env_values)
-    if overrides:
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        if cleaned:
-            settings = replace(settings, **cleaned)
     return settings

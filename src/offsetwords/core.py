@@ -12,16 +12,12 @@ everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 # Exact counts are plain Python integers (arbitrary precision).
 BigCount = int
-
-# below this many composition terms the process-pool overhead is not worth it
-_PARALLEL_MIN_TERMS = 4096
 
 # A Parikh vector is the tuple of character multiplicities over [1:d].
 ParikhVector = tuple
@@ -131,8 +127,7 @@ def weak_compositions(n: int, d: int) -> Iterator[tuple]:
     """All nu in N_0^d with sum nu = n, in colexicographic order.
 
     Emits exactly C(n+d-1, d-1) vectors.  Colex order (last coordinate most
-    significant) is fixed so that streams are deterministic and chunkable by
-    the value of the last coordinate.
+    significant) is fixed so that streams are deterministic.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -205,16 +200,6 @@ def _composition_term(nu: tuple, plus: tuple, minus: tuple) -> BigCount:
     a = multinomial(tuple(v + p for v, p in zip(nu, plus)))
     b = multinomial(tuple(v + m for v, m in zip(nu, minus)))
     return a * b
-
-
-def _chunk_sum(args) -> BigCount:
-    """Partial sum over the compositions whose last coordinate equals t."""
-    n, t, plus, minus = args
-    d = len(plus)
-    total = 0
-    for head in weak_compositions(n - t, d - 1):
-        total += _composition_term(head + (t,), plus, minus)
-    return total
 
 
 class _Row(NamedTuple):
@@ -293,15 +278,12 @@ def count_row(n: int, xi) -> list:
     return count_orders(range(n + 1), xi)
 
 
-def count_offset_words(n: int, xi, workers: int = 1) -> BigCount:
+def count_offset_words(n: int, xi) -> BigCount:
     """Number of order-n words offset by xi: the exact sum over weak
     compositions nu of n of multinomial(nu + xi^+) * multinomial(nu + xi^-).
 
     Constant offsets m*1_d take the grouped-letter fold of count_orders;
-    other offsets sum the compositions.  ``workers`` > 1 chunks that
-    composition stream by its most significant coordinate and reduces in
-    parallel; integer addition makes the result identical to the sequential
-    sum.
+    other offsets sum the compositions.
     """
     if n < 0:
         raise ValueError("order n must be nonnegative")
@@ -309,16 +291,7 @@ def count_offset_words(n: int, xi, workers: int = 1) -> BigCount:
     if xi.is_constant():
         return count_orders((n,), xi)[0]
     plus, minus = sign_split(xi)
-    d = xi.d
-    if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
-    if workers > 1 and d > 1 and math.comb(n + d - 1, d - 1) > _PARALLEL_MIN_TERMS:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(n, t, plus, minus) for t in range(n + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_chunk_sum, jobs, chunksize=8))
     total = 0
-    for nu in weak_compositions(n, d):
+    for nu in weak_compositions(n, xi.d):
         total += _composition_term(nu, plus, minus)
     return total

@@ -94,6 +94,17 @@ def is_abelian_square(word: Sequence[int]) -> bool:
     return Counter(word[:half]) == Counter(word[half:])
 
 
+def _labelled_words(d: int, length: int) -> Iterator[tuple]:
+    """(word, offsets) for every word of the given length over [1:d], where
+    offsets is the set of offset vectors of its labellings (classify_splits).
+
+    A set loses nothing: consecutive splits move prefix - suffix by 2 e_c, so
+    no word carries the same offset at two split points.
+    """
+    for word in product(range(1, d + 1), repeat=length):
+        yield word, {label.offset.components for label in classify_splits(word, d)}
+
+
 def enumerate_pairs_by_length(
     d: int, total_length: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> BigCount:
@@ -112,9 +123,8 @@ def enumerate_pairs_by_length(
     label_census: dict[int, Counter] = {}
     for length in range(total_length + 1):
         census: Counter = Counter()
-        for word in product(range(1, d + 1), repeat=length):
-            for label in classify_splits(word, d):
-                census[label.offset.components] += 1
+        for _, offsets in _labelled_words(d, length):
+            census.update(offsets)
         label_census[length] = census
     total = 0
     for left_len in range(total_length + 1):

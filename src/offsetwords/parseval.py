@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from .core import classify_splits, count_row, weak_compositions
+from .core import count_row, weak_compositions
 from .errors import BudgetExceededError
+from .oracle import _labelled_words
 from .quadrature import density_square_mean
 from .series import XSeries, spectral_rows
 
@@ -141,13 +142,7 @@ def pair_roster(d: int, total_length: int) -> list:
         raise ValueError("combined length must be even and nonnegative")
     if d**total_length > 100_000:
         raise BudgetExceededError("roster requested above listing budget")
-    labelled: dict[int, list] = {}
-    for length in range(total_length + 1):
-        rows = []
-        for word in product(range(1, d + 1), repeat=length):
-            offsets = {label.offset.components for label in classify_splits(word, d)}
-            rows.append((word, offsets))
-        labelled[length] = rows
+    labelled = {length: list(_labelled_words(d, length)) for length in range(total_length + 1)}
     roster = []
     for left_len in range(total_length + 1):
         for u, u_offsets in labelled[left_len]:

@@ -42,6 +42,15 @@ class AlphabetSplit:
         return tuple(j for j in range(1, d + 1) if j not in chosen)
 
 
+def all_splits(d: int) -> list:
+    """An AlphabetSplit for every proper nonempty subset of [1:d], in the order
+    of the bitmask whose bit j - 1 selects letter j."""
+    return [
+        AlphabetSplit(tuple(j + 1 for j in range(d) if mask >> j & 1))
+        for mask in range(1, 2**d - 1)
+    ]
+
+
 def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCount:
     """Evaluate the split-alphabet recurrence at (n, xi).
 

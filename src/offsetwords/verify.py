@@ -22,11 +22,11 @@ from .asymptotics import (
     stationary_phase_hessian_det,
     w_via_bessel,
 )
-from .core import OffsetVector, as_offset, count_offset_words, multinomial, sign_split
+from .core import OffsetVector, as_offset, count_offset_words, count_row, multinomial, sign_split
 from .oracle import enumerate_pairs_by_length, oracle_count
 from .parseval import offsets_with_norm_at_most, parseval_lhs, parseval_numeric_check, parseval_rhs_series
 from .quadrature import fourier_coefficient_numeric, integral_count, integral_mean, quadrature_threshold
-from .recurrence import AlphabetSplit, check_divisibility, recurrence_count
+from .recurrence import all_splits, check_divisibility, recurrence_count
 from .series import fourier_coefficient_series, spectral_series, verify_determinantal
 
 DIVISIBILITY_SEED = 744627
@@ -45,22 +45,13 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
     return CheckResult(suite, name, bool(passed), detail)
 
 
-def _splits(d: int):
-    out = []
-    for mask in range(1, 2**d - 1):
-        sel = tuple(j + 1 for j in range(d) if mask >> j & 1)
-        if 1 <= len(sel) <= d - 1:
-            out.append(AlphabetSplit(sel))
-    return out
-
-
 def suite_oracle() -> list:
     """Brute force vs formula vs recurrence vs quadrature on the common range."""
     results = []
     worst_rel = 0.0
     mismatches = []
     for d in (1, 2, 3):
-        splits = _splits(d)
+        splits = all_splits(d)
         for xi_t in offsets_with_norm_at_most(d, 3):
             xi = OffsetVector(xi_t)
             for n in range(5):
@@ -110,7 +101,7 @@ def suite_recurrence() -> list:
     bad = []
     checked = 0
     for d in (2, 3, 4):
-        splits = _splits(d)
+        splits = all_splits(d)
         for xi_t in offsets_with_norm_at_most(d, 4):
             xi = OffsetVector(xi_t)
             for n in range(7):
@@ -142,10 +133,8 @@ def suite_divisibility() -> list:
     lemma_bad = []
     for d in range(1, 7):
         for m in range(-3, 4):
-            for n in range(31):
-                if (n, m) == (0, 0):
-                    continue
-                if count_offset_words(n, (m,) * d) % d != 0:
+            for n, w in enumerate(count_row(30, (m,) * d)):
+                if (n, m) != (0, 0) and w % d != 0:
                     lemma_bad.append((n, m, d))
     results.append(
         _result(

@@ -8,6 +8,7 @@ import pytest
 
 import offsetwords
 from offsetwords.cli import main
+from offsetwords.core import count_offset_words
 from offsetwords.verify import SUITES
 
 
@@ -22,13 +23,10 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "35169"
     code, out, _ = run_cli(capsys, "count", "--n", "0", "--xi", "2,-1")
     assert code == 0 and out.strip() == "1"
-
-
-def test_count_workers_flag(capsys):
-    code, out, _ = run_cli(capsys, "--workers", "2", "count", "--n", "30", "--xi", "1,-1")
-    assert code == 0
-    code, out1, _ = run_cli(capsys, "count", "--n", "30", "--xi", "1,-1")
-    assert out == out1
+    # the CLI reads the fold; the library's composition sum must agree
+    for n, xi in ((30, (1, -1)), (12, (2, -1, 0, 1))):
+        code, out, _ = run_cli(capsys, "count", "--n", str(n), "--xi", ",".join(map(str, xi)))
+        assert code == 0 and out == f"{count_offset_words(n, xi)}\n"
 
 
 def test_oracle_listing(capsys):
@@ -154,11 +152,24 @@ def test_bad_config_file(capsys, tmp_path):
     cfg.write_text("nonsense_key = 3\n")
     code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
     assert code == 2 and "nonsense_key" in err
+    # the process pool and its workers setting are gone
+    cfg.write_text("workers = 2\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
+    assert code == 2 and "workers" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "2", "count", "--n", "1", "--xi", "0,0"])
+    assert exc.value.code == 2
 
 
 def test_import_loads_neither_numpy_nor_multiprocessing():
-    # numpy and the process pool are imported only by the code that uses them
+    # numpy is imported only by the code that uses it, and no path starts a process pool
     env = dict(os.environ, PYTHONPATH=str(Path(offsetwords.__file__).parents[1]))
     code = "import offsetwords, offsetwords.cli, sys; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    code = (
+        "import sys; from offsetwords.cli import main; main(['count', '--n', '45', '--xi', '1,-1,0,0,2']); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[-1] == "False"

@@ -169,11 +169,6 @@ def test_count_orders_reads_the_row_in_request_order():
         count_row(-1, xi)
 
 
-def test_parallel_reduction_is_bit_identical(monkeypatch):
-    monkeypatch.setattr(core, "_PARALLEL_MIN_TERMS", 1)
-    assert count_offset_words(5, (1, -1, 0), workers=2) == count_offset_words(5, (1, -1, 0))
-
-
 def test_mutuality():
     assert mutuality((2, 0), (1, 1)) == (1, 0)
     assert mutuality((0, 0), (3, 5)) == (0, 0)
