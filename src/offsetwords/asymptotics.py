@@ -87,7 +87,7 @@ def stationary_phase_estimate(n: int, xi, lam: int) -> AsymptoticEstimate:
     )
 
 
-def stationary_phase_hessian_det(xi, d: int | None = None) -> float:
+def stationary_phase_hessian_det(xi) -> float:
     """Determinant (||xi||_1/d)^d (d+1) of the phase Hessian at the origin.
 
     Cross-checked against the numerically built d x d tridiagonal Toeplitz
@@ -95,10 +95,7 @@ def stationary_phase_hessian_det(xi, d: int | None = None) -> float:
     must agree to near machine precision.
     """
     xi = as_offset(xi)
-    if d is None:
-        d = xi.d
-    elif d != xi.d:
-        raise ValueError(f"xi has dimension {xi.d}, expected {d}")
+    d = xi.d
     if d < 2:
         raise ValueError("the Hessian determinant needs d >= 2")
     c = xi.one_norm / d

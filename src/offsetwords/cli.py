@@ -18,10 +18,10 @@ from .asymptotics import (
     ratio_probe,
     stationary_phase_estimate,
 )
-from .config import Settings, load_settings
+from .config import Budget, load_settings
 from .core import as_offset, count_offset_words, count_orders
 from .errors import BudgetExceededError
-from .oracle import OracleBudget, oracle_count, oracle_words
+from .oracle import oracle_count, oracle_words
 from .parseval import pair_roster, parseval_lhs, parseval_numeric_check, parseval_rhs_series
 from .quadrature import integral_count, quadrature_threshold
 from .series import fourier_coefficient_series, ogf_w, spectral_series
@@ -61,21 +61,12 @@ def _word_str(word) -> str:
     return "-".join(str(c) for c in word)
 
 
-def _budget(settings: Settings) -> OracleBudget:
-    return OracleBudget(
-        max_total_length=settings.oracle_max_total_length,
-        max_alphabet=settings.oracle_max_alphabet,
-        max_strings=settings.oracle_max_strings,
-    )
-
-
-def _cmd_count(args, settings: Settings) -> int:
+def _cmd_count(args, budget: Budget) -> int:
     print(count_orders((args.n,), args.xi)[0])
     return 0
 
 
-def _cmd_oracle(args, settings: Settings) -> int:
-    budget = _budget(settings)
+def _cmd_oracle(args, budget: Budget) -> int:
     print(oracle_count(args.n, args.xi, budget))
     if args.list:
         for word in oracle_words(args.n, args.xi, budget, limit=args.limit):
@@ -83,31 +74,24 @@ def _cmd_oracle(args, settings: Settings) -> int:
     return 0
 
 
-def _cmd_series(args, settings: Settings) -> int:
+def _cmd_series(args, budget: Budget) -> int:
     xi = args.xi
-    d = args.d if args.d is not None else xi.d
-    if args.ogf:
-        if not xi.divisible_by(args.r):
-            series = fourier_coefficient_series(xi, d, args.r, args.trunc)  # zero series
-        else:
-            series = ogf_w(xi.scale_down(args.r), args.trunc)
-    else:
-        series = fourier_coefficient_series(xi, d, args.r, args.trunc)
+    if args.ogf and xi.divisible_by(args.r):
+        series = ogf_w(xi.scale_down(args.r), args.trunc)
+    else:  # by length; the zero series when r does not divide xi
+        series = fourier_coefficient_series(xi, xi.d, args.r, args.trunc)
     print(_dump(series.to_json_dict()))
     return 0
 
 
-def _cmd_spectral_table(args, settings: Settings) -> int:
-    if args.trunc > settings.spectral_trunc_cap:
-        raise BudgetExceededError(
-            f"truncation {args.trunc} exceeds cap {settings.spectral_trunc_cap}"
-        )
+def _cmd_spectral_table(args, budget: Budget) -> int:
+    budget.check_spectral(args.trunc)
     table = spectral_series(args.d, args.r, args.trunc)
     print(_dump(table.to_json_dict()))
     return 0
 
 
-def _cmd_quad(args, settings: Settings) -> int:
+def _cmd_quad(args, budget: Budget) -> int:
     approx = integral_count(args.n, args.xi, args.grid)
     exact = count_offset_words(args.n, args.xi)
     abs_err = abs(approx - exact)
@@ -125,7 +109,7 @@ def _cmd_quad(args, settings: Settings) -> int:
     return 0
 
 
-def _cmd_asympt(args, settings: Settings) -> int:
+def _cmd_asympt(args, budget: Budget) -> int:
     if args.regime == "laplace":
         if args.xi is None:
             raise ValueError("laplace regime needs --xi")
@@ -147,9 +131,9 @@ def _cmd_asympt(args, settings: Settings) -> int:
     return 0
 
 
-def _cmd_parseval(args, settings: Settings) -> int:
-    lhs = parseval_lhs(args.d, args.k, k_cap=settings.parseval_k_cap)
-    rhs = parseval_rhs_series(args.d, args.k, k_cap=settings.parseval_k_cap)
+def _cmd_parseval(args, budget: Budget) -> int:
+    lhs = parseval_lhs(args.d, args.k, budget=budget)
+    rhs = parseval_rhs_series(args.d, args.k, budget=budget)
     agree = lhs.coeffs == rhs.coeffs
     report = {
         "d": args.d,
@@ -197,7 +181,7 @@ def _cmd_parseval(args, settings: Settings) -> int:
     return 0
 
 
-def _cmd_verify(args, settings: Settings) -> int:
+def _cmd_verify(args, budget: Budget) -> int:
     results = run_suites(args.suite)
     failures = 0
     for res in results:
@@ -234,13 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="Fourier-coefficient series as JSON")
     p.add_argument("--xi", type=_parse_xi, required=True)
-    p.add_argument("--d", type=int, help="alphabet size (default: inferred from --xi)")
     p.add_argument("--r", type=int, default=1, help="power-sum exponent r (default 1)")
     p.add_argument("--trunc", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--ogf", action="store_true", help="order-indexed counts (x^n is order n)")
-    group.add_argument(
-        "--by-length", action="store_true", help="length-indexed coefficients (default)"
+    p.add_argument(
+        "--ogf", action="store_true", help="order-indexed counts (default: indexed by length)"
     )
     p.set_defaults(func=_cmd_series)
 
@@ -284,12 +265,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = load_settings(args.config)
+        budget = load_settings(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, settings)
+        return args.func(args, budget)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 3

@@ -53,10 +53,6 @@ class OffsetVector:
     def one_norm(self) -> int:
         return sum(abs(c) for c in self.components)
 
-    @property
-    def total(self) -> int:
-        return sum(self.components)
-
     def abs(self) -> tuple:
         return tuple(abs(c) for c in self.components)
 

@@ -9,36 +9,11 @@ closed-form counting paths.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
+from .config import DEFAULT_BUDGET, Budget
 from .core import BigCount, as_offset, classify_splits, parikh, sign_split
-from .errors import BudgetExceededError
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard limits for exhaustive enumeration; exceeding them raises, never truncates."""
-
-    max_total_length: int = 24
-    max_alphabet: int = 8
-    max_strings: int = 10_000_000
-
-    def check(self, d: int, total_length: int) -> None:
-        if d > self.max_alphabet:
-            raise BudgetExceededError(f"alphabet size {d} exceeds cap {self.max_alphabet}")
-        if total_length > self.max_total_length:
-            raise BudgetExceededError(
-                f"total length {total_length} exceeds cap {self.max_total_length}"
-            )
-        if d**total_length > self.max_strings:
-            raise BudgetExceededError(
-                f"d^length = {d**total_length} exceeds cap {self.max_strings} strings"
-            )
-
-
-DEFAULT_BUDGET = OracleBudget()
 
 
 def _parikh_census(d: int, length: int) -> Counter:
@@ -49,7 +24,7 @@ def _parikh_census(d: int, length: int) -> Counter:
     return census
 
 
-def oracle_count(n: int, xi, budget: OracleBudget = DEFAULT_BUDGET) -> BigCount:
+def oracle_count(n: int, xi, budget: Budget = DEFAULT_BUDGET) -> BigCount:
     """Count strings ww' with |w| = n+|xi^+|, |w'| = n+|xi^-| and
     rho(w) - rho(w') = xi, by exhaustively generating both halves."""
     if n < 0:
@@ -58,7 +33,7 @@ def oracle_count(n: int, xi, budget: OracleBudget = DEFAULT_BUDGET) -> BigCount:
     d = xi.d
     plus, minus = sign_split(xi)
     total_length = 2 * n + xi.one_norm
-    budget.check(d, total_length)
+    budget.check_oracle(d, total_length)
     left = _parikh_census(d, n + sum(plus))
     right = _parikh_census(d, n + sum(minus))
     total = 0
@@ -69,12 +44,12 @@ def oracle_count(n: int, xi, budget: OracleBudget = DEFAULT_BUDGET) -> BigCount:
     return total
 
 
-def oracle_words(n: int, xi, budget: OracleBudget = DEFAULT_BUDGET, limit: int | None = None) -> Iterator[tuple]:
+def oracle_words(n: int, xi, budget: Budget = DEFAULT_BUDGET, limit: int | None = None) -> Iterator[tuple]:
     """Yield the actual offset words ww' (capped listing for the CLI)."""
     xi = as_offset(xi)
     d = xi.d
     plus, minus = sign_split(xi)
-    budget.check(d, 2 * n + xi.one_norm)
+    budget.check_oracle(d, 2 * n + xi.one_norm)
     emitted = 0
     for w in product(range(1, d + 1), repeat=n + sum(plus)):
         rho_w = parikh(w, d)
@@ -106,7 +81,7 @@ def _labelled_words(d: int, length: int) -> Iterator[tuple]:
 
 
 def enumerate_pairs_by_length(
-    d: int, total_length: int, budget: OracleBudget = DEFAULT_BUDGET
+    d: int, total_length: int, budget: Budget = DEFAULT_BUDGET
 ) -> BigCount:
     """Size of the length-``total_length`` slice of the disjoint union over all
     offsets xi of (words offset by xi) x (words offset by xi).
@@ -119,7 +94,7 @@ def enumerate_pairs_by_length(
         raise ValueError("combined length must be even and nonnegative")
     if d < 1:
         raise ValueError("need d >= 1")
-    budget.check(d, total_length)
+    budget.check_oracle(d, total_length)
     label_census: dict[int, Counter] = {}
     for length in range(total_length + 1):
         census: Counter = Counter()

@@ -17,21 +17,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
+from .config import DEFAULT_BUDGET, Budget
 from .core import count_row, weak_compositions
 from .errors import BudgetExceededError
 from .oracle import _labelled_words
 from .quadrature import density_square_mean
-from .series import XSeries, spectral_rows
-
-PARSEVAL_K_CAP = 12
-
-
-def _check_k_cap(k_max: int, k_cap: int) -> None:
-    if k_max > k_cap:
-        raise BudgetExceededError(
-            f"k = {k_max} exceeds cap {k_cap} (O(k^d) offsets); raise parseval_k_cap "
-            "in the config file or OFFSETWORDS_PARSEVAL_K_CAP"
-        )
+from .series import XSeries, check_table_size, spectral_rows
 
 
 def offsets_with_norm_at_most(d: int, bound: int) -> Iterator[tuple]:
@@ -53,37 +44,40 @@ def _canonical(xi: tuple) -> tuple:
     return min(a, b)
 
 
-def parseval_lhs(d: int, k_max: int, _cache: dict | None = None, *, k_cap: int = PARSEVAL_K_CAP) -> XSeries:
+def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Coefficient of x^k: sum over xi and n1+n2+||xi||_1 = k of w_(n1,xi) w_(n2,xi).
 
     Counts ordered pairs of offset-xi words with total length 2k, summed over
-    xi with multiplicity.  ``k_cap`` bounds k_max.
+    xi with multiplicity.  ``budget.parseval_k_cap`` bounds k_max, and the
+    cell cap of the length-2k spectral table that parseval_rhs_series builds
+    is checked before the walk starts.
     """
-    _check_k_cap(k_max, k_cap)
-    cache = _cache if _cache is not None else {}
+    budget.check_parseval(k_max)
+    check_table_size(d, 2 * k_max)
+    cache: dict = {}
     coeffs = [Fraction(0)] * (k_max + 1)
     for xi in offsets_with_norm_at_most(d, k_max):
         norm = sum(abs(c) for c in xi)
-        budget = k_max - norm
+        top = k_max - norm
         key = _canonical(xi)
         counts = cache.get(key)
-        if counts is None or len(counts) < budget + 1:
-            counts = count_row(budget, xi)
+        if counts is None or len(counts) < top + 1:
+            counts = count_row(top, xi)
             cache[key] = counts
-        for n1 in range(budget + 1):
-            for n2 in range(budget + 1 - n1):
+        for n1 in range(top + 1):
+            for n2 in range(top + 1 - n1):
                 coeffs[n1 + n2 + norm] += counts[n1] * counts[n2]
     return XSeries(tuple(coeffs))
 
 
-def parseval_rhs_series(d: int, k_max: int, *, k_cap: int = PARSEVAL_K_CAP) -> XSeries:
+def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Same coefficients obtained by squaring the spectral-density expansion.
 
     Every integer row of the by-length table is squared and summed; surviving
-    exponents are even and are halved to land on the common index.  ``k_cap``
-    bounds k_max.
+    exponents are even and are halved to land on the common index.
+    ``budget.parseval_k_cap`` bounds k_max.
     """
-    _check_k_cap(k_max, k_cap)
+    budget.check_parseval(k_max)
     acc = [0] * (2 * k_max + 1)
     for row in spectral_rows(d, 1, 2 * k_max).values():
         for i, a in enumerate(row):

@@ -10,9 +10,9 @@ integrands the same grids converge geometrically and are validated by
 doubling (M against 2M).
 
 Grid means are reduced with numpy's pairwise summation, so results are
-deterministic and independent of worker counts to well below the asserted
-tolerances.  numpy is imported by the functions that use it, so importing the
-package does not load it.
+deterministic from run to run to well below the asserted tolerances.  numpy
+is imported by the functions that use it, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _GRID_POINT_CAP = 40_000_000
+
+# Grid doubling stops once two successive grid means agree within this.
+_DOUBLING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,13 @@ def integral_count(n: int, xi, grid_size: int | None = None) -> float:
     return float(integral_mean(n, xi, grid_size).real)
 
 
-def spectral_density_eval(x: float, theta, d: int | None = None, r: int = 1) -> float:
-    """|1 - x sum_j e^(i r theta_j)|^(-2) at a torus point; needs |x| < 1/d."""
+def spectral_density_eval(x: float, theta, r: int = 1) -> float:
+    """|1 - x sum_j e^(i r theta_j)|^(-2) at a torus point of d = len(theta)
+    angles; needs |x| < 1/d."""
     import numpy as np
 
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if d is None:
-        d = theta.shape[-1]
-    if theta.shape[-1] != d:
-        raise ValueError(f"theta has {theta.shape[-1]} angles, expected {d}")
+    d = theta.shape[-1]
     if abs(x) >= 1.0 / d:
         raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{d}")
     p = np.exp(1j * r * theta).sum(axis=-1)
@@ -150,8 +151,8 @@ def _density_mean(xi, x: float, r: int, grid_size: int, power: int = 1) -> compl
     return TorusGrid(xi.d, grid_size).mean_with_phase(density, xi)
 
 
-def _doubled_until_stable(evaluate, start: int, tol: float) -> complex:
-    """Double the grid until two successive grid means agree within tol.
+def _doubled_until_stable(evaluate, start: int) -> complex:
+    """Double the grid until two successive grid means agree within _DOUBLING_TOL.
 
     The integrands here are analytic on a neighborhood of the torus, so the
     means converge geometrically and the doubling test is a reliable stop; the
@@ -162,36 +163,27 @@ def _doubled_until_stable(evaluate, start: int, tol: float) -> complex:
     size = start
     while True:
         fine = evaluate(2 * size)
-        if abs(fine - coarse) <= tol:
+        if abs(fine - coarse) <= _DOUBLING_TOL:
             return fine
         size *= 2
         coarse = fine
 
 
-def fourier_coefficient_numeric(
-    xi,
-    x: float,
-    d: int | None = None,
-    r: int = 1,
-    grid_size: int | None = None,
-    richardson_tol: float = 1e-8,
-) -> complex:
+def fourier_coefficient_numeric(xi, x: float, r: int = 1, grid_size: int | None = None) -> complex:
     """Grid quadrature of the xi-th Fourier coefficient of the spectral density.
 
     With no explicit grid size, starts at 64 points per axis and doubles until
-    successive grids agree within ``richardson_tol``.
+    successive grids agree within _DOUBLING_TOL.
     """
     xi = as_offset(xi)
-    if d is not None and d != xi.d:
-        raise ValueError(f"xi has dimension {xi.d}, expected {d}")
     if abs(x) >= 1.0 / xi.d:
         raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{xi.d}")
     if grid_size is not None:
         return _density_mean(xi, x, r, grid_size)
-    return _doubled_until_stable(lambda m: _density_mean(xi, x, r, m), 64, richardson_tol)
+    return _doubled_until_stable(lambda m: _density_mean(xi, x, r, m), 64)
 
 
-def density_square_mean(d: int, sqrt_x: float, grid_size: int | None = None, richardson_tol: float = 1e-8) -> float:
+def density_square_mean(d: int, sqrt_x: float, grid_size: int | None = None) -> float:
     """Grid mean of the squared spectral density at parameter sqrt_x (used by
     the Parseval check)."""
     zero = (0,) * d
@@ -199,7 +191,5 @@ def density_square_mean(d: int, sqrt_x: float, grid_size: int | None = None, ric
         raise StabilityError(f"sqrt(x) = {sqrt_x} outside the stability region")
     if grid_size is not None:
         return float(_density_mean(zero, sqrt_x, 1, grid_size, power=2).real)
-    value = _doubled_until_stable(
-        lambda m: _density_mean(zero, sqrt_x, 1, m, power=2), 64, richardson_tol
-    )
+    value = _doubled_until_stable(lambda m: _density_mean(zero, sqrt_x, 1, m, power=2), 64)
     return float(value.real)

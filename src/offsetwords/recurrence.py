@@ -100,13 +100,18 @@ def divisibility_modulus(xi) -> int:
     return math.lcm(*range(1, top + 1))
 
 
-def check_divisibility(n: int, xi) -> bool:
-    """True iff the count at (n, xi) passes every applicable modular certificate."""
-    xi = as_offset(xi)
-    w = count_offset_words(n, xi)
+def _certified(n: int, xi: OffsetVector, w: BigCount) -> bool:
+    """True iff the given count w at (n, xi) passes every applicable modular
+    certificate."""
     ok = True
     if not xi.is_zero() and xi.d >= 2:
         ok = ok and w % divisibility_modulus(xi) == 0
     if xi.is_constant() and (n, xi.components[0]) != (0, 0):
         ok = ok and w % xi.d == 0
     return ok
+
+
+def check_divisibility(n: int, xi) -> bool:
+    """True iff the count at (n, xi) passes every applicable modular certificate."""
+    xi = as_offset(xi)
+    return _certified(n, xi, count_offset_words(n, xi))

@@ -13,12 +13,18 @@ independent route.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import as_offset, count_row
+from .errors import BudgetExceededError
+
+# Cells (exponents times orders) a spectral table may hold: d=3, T=40 and
+# d=6, T=12 fit, d=8, T=24 does not.
+_TABLE_CELL_CAP = 10_000_000
 
 
 def _as_fraction(v) -> Fraction:
@@ -67,11 +73,6 @@ class XSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, order: int) -> "XSeries":
-        if order >= self.order:
-            return self
-        return XSeries(self.coeffs[: order + 1])
 
     def __add__(self, other: "XSeries") -> "XSeries":
         n = min(self.order, other.order)
@@ -199,9 +200,6 @@ class LaurentTable:
             raise ValueError(f"exponent dimension {xi.d} does not match table dimension {self.d}")
         return self.entries.get(xi.components, XSeries.zero(self.truncation))
 
-    def exponents(self) -> Iterator[tuple]:
-        return iter(sorted(self.entries))
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -224,6 +222,22 @@ def _shift_add(layer: dict, steps: list, out: dict) -> dict:
     return out
 
 
+def lattice_points(d: int, radius: int) -> int:
+    """Number of eta in Z^d with ||eta||_1 <= radius."""
+    return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
+
+
+def check_table_size(d: int, truncation: int) -> None:
+    """Refuse, before anything is allocated, a table whose lattice_points(d, T)
+    exponents times T + 1 orders exceed the fixed cell cap."""
+    cells = lattice_points(d, truncation) * (truncation + 1)
+    if cells > _TABLE_CELL_CAP:
+        raise BudgetExceededError(
+            f"spectral table at d = {d}, T = {truncation} needs {cells} cells, "
+            f"above the fixed limit of {_TABLE_CELL_CAP}"
+        )
+
+
 def spectral_rows(d: int, r: int, truncation: int) -> dict:
     """{eta: [c_0, ..., c_truncation]} in plain ints: c_n is the x^n coefficient
     of the spectral density of 1 - x(z_1^r+...+z_d^r) at z^eta.
@@ -233,9 +247,11 @@ def spectral_rows(d: int, r: int, truncation: int) -> dict:
     series 1/(1 - x S(z^r)) and 1/(1 - x S(z^-r)), i.e. the MacMahon pair sum
     of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n with
     r*(kappa - kappa') = eta.  It is built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.
+    Tables above the cell cap of ``check_table_size`` are refused up front.
     """
     if d < 1 or r < 1 or truncation < 0:
         raise ValueError("need d >= 1, r >= 1, truncation >= 0")
+    check_table_size(d, truncation)
     # Kronecker substitution: eta is packed as the int sum_j (eta_j + reach) base^j,
     # which is unique since |eta_j| <= reach, and z_j^(+-r) adds +-r base^j.
     reach = r * truncation

@@ -26,7 +26,7 @@ from .core import OffsetVector, as_offset, count_offset_words, count_row, multin
 from .oracle import enumerate_pairs_by_length, oracle_count
 from .parseval import offsets_with_norm_at_most, parseval_lhs, parseval_numeric_check, parseval_rhs_series
 from .quadrature import fourier_coefficient_numeric, integral_count, integral_mean, quadrature_threshold
-from .recurrence import all_splits, check_divisibility, recurrence_count
+from .recurrence import _certified, all_splits, recurrence_count
 from .series import fourier_coefficient_series, spectral_series, verify_determinantal
 
 DIVISIBILITY_SEED = 744627
@@ -155,8 +155,9 @@ def suite_divisibility() -> list:
             xi = tuple(mag * rng.choice((1, -1)) if mag else 0 for mag in mags)
             if any(xi):
                 break
-        for n in range(11):
-            if not check_divisibility(n, xi):
+        offset = OffsetVector(xi)
+        for n, w in enumerate(count_row(10, offset)):
+            if not _certified(n, offset, w):
                 cert_bad.append((n, xi))
     results.append(
         _result(

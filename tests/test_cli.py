@@ -1,15 +1,27 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import offsetwords
-from offsetwords.cli import main
+from offsetwords.cli import build_parser, main
+from offsetwords.config import Budget
 from offsetwords.core import count_offset_words
 from offsetwords.verify import SUITES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +86,34 @@ def test_spectral_table_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "spectral-table", "--d", "3", "--trunc", "60")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv,key,admitted",
+    [
+        (("oracle", "--n", "13", "--xi", "0"), "oracle_max_total_length", "26"),  # length 26 > 24
+        (("spectral-table", "--d", "1", "--trunc", "41"), "spectral_trunc_cap", "41"),
+    ],
+)
+def test_refusal_names_key_and_variable(capsys, monkeypatch, argv, key, admitted):
+    # the Parseval refusal is covered by test_parseval_cap_follows_config
+    var = "OFFSETWORDS_" + key.upper()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and key in err and var in err
+    monkeypatch.setenv(var, admitted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv", [("spectral-table", "--d", "8", "--trunc", "24"), ("parseval", "--d", "8", "--k", "12")]
+)
+def test_oversized_tables_refused_before_allocation(capsys, argv):
+    # both pass their truncation caps, but the implied table has 2.2e10 cells
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and "cells" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quad(capsys):
@@ -145,6 +185,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "1", "--xi", "1,a"])
     assert exc.value.code == 2
+    # series infers d from --xi and always indexes by length unless --ogf
+    for extra in (["--d", "2"], ["--by-length"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--xi", "1,0", "--trunc", "3", *extra])
+        assert exc.value.code == 2
 
 
 def test_config_file_and_env_precedence(capsys, tmp_path, monkeypatch):
@@ -166,6 +211,76 @@ def test_bad_config_file(capsys, tmp_path):
     cfg.write_text("workers = 2\n")
     code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
     assert code == 2 and "workers" in err
+    # grid_default was never read and is gone
+    cfg.write_text("grid_default = 64\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
+    assert code == 2 and "grid_default" in err
+    # a non-integer value names its source: the file and line, or the variable
+    cfg.write_text("# caps\nparseval_k_cap = twelve\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
+    assert code == 2 and f"{cfg}:2" in err and "twelve" in err
+
+
+def test_bad_config_env(capsys, monkeypatch):
+    monkeypatch.setenv("OFFSETWORDS_SPECTRAL_TRUNC_CAP", "4O")
+    code, _, err = run_cli(capsys, "count", "--n", "1", "--xi", "0,0")
+    assert code == 2 and "OFFSETWORDS_SPECTRAL_TRUNC_CAP" in err and "4O" in err
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+_KEYS = [f.name for f in fields(Budget)]
+# one line of text: no line breaks, and no '#', which would start a comment
+_line_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r#"), max_size=12
+)
+_malformed_list = st.text(max_size=12).filter(
+    lambda t: not all(_is_int(part) for part in t.split(","))
+)
+_malformed_line = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _line_text.filter(lambda v: not _is_int(v))),
+    _line_text.filter(lambda k: k.strip() not in _KEYS and "=" not in k).map("{} = 1".format),
+    _line_text.filter(lambda t: t.strip() and "=" not in t),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(
+        _malformed_list.map(lambda t: ("--xi", ["count", "--n", "1", "--xi", t], None)),
+        _malformed_list.map(
+            lambda t: ("--sweep", ["asympt", "--regime", "laplace", "--xi", "0,0", "--sweep", t], None)
+        ),
+        # well-formed but out of range: the Laplace regime needs orders n >= 1
+        st.integers(-9, 0).map(
+            lambda n: ("order", ["asympt", "--regime", "laplace", "--xi", "0,0", "--sweep", str(n)], None)
+        ),
+        _malformed_line.map(lambda line: (None, ["count", "--n", "1", "--xi", "0,0"], line)),
+    )
+)
+def test_malformed_input_exits_2_with_a_message(case):
+    fragment, argv, config_line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config_line is not None:
+            path = Path(tmp) / "bad.cfg"
+            path.write_text(config_line + "\n", encoding="utf-8")
+            argv = ["--config", str(path), *argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code == 2, (argv, config_line)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    assert (fragment or f"{path}:1") in message
 
 
 def test_import_loads_neither_numpy_nor_multiprocessing():
@@ -180,3 +295,19 @@ def test_import_loads_neither_numpy_nor_multiprocessing():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.split()[-1] == "False"
+
+
+def test_readme_configuration_block_lists_the_budget():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Configuration", 1)[1].split("```")[1]
+    documented = {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", block)}
+    assert documented == {f.name: f.default for f in fields(Budget)}
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    examples = re.findall(r"^offsetwords .*$", text, re.M) + re.findall(r"`(offsetwords [^`]+)`", text)
+    assert len(examples) >= 12
+    parser = build_parser()
+    for example in examples:
+        parser.parse_args(shlex.split(example, comments=True)[1:])

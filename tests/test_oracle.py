@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from offsetwords.config import Budget
 from offsetwords.core import classify_splits, count_offset_words
 from offsetwords.errors import BudgetExceededError
 from offsetwords.oracle import (
-    OracleBudget,
     enumerate_pairs_by_length,
     is_abelian_square,
     oracle_count,
@@ -29,12 +29,12 @@ def test_oracle_words_listing():
 
 
 def test_budget_refusal_is_loud():
-    tight = OracleBudget(max_total_length=4, max_alphabet=3, max_strings=50)
+    tight = Budget(oracle_max_total_length=4, oracle_max_alphabet=3, oracle_max_strings=50)
     with pytest.raises(BudgetExceededError):
         oracle_count(3, (0, 0), tight)  # length 6 > 4
     with pytest.raises(BudgetExceededError):
-        oracle_count(1, (0, 0, 0, 0), OracleBudget(max_alphabet=3))
-    with pytest.raises(BudgetExceededError):
+        oracle_count(1, (0, 0, 0, 0), Budget(oracle_max_alphabet=3))
+    with pytest.raises(BudgetExceededError, match="oracle_max_strings in the config file or OFFSETWORDS_ORACLE_MAX_STRINGS"):
         oracle_count(2, (0, 0, 0), tight)  # 3^4 > 50
     # refusal happens before any work, not as silent truncation
     assert oracle_count(1, (0, 0), tight) == 2
@@ -82,4 +82,4 @@ def test_enumerate_pairs_by_length():
     with pytest.raises(ValueError):
         enumerate_pairs_by_length(2, 3)
     with pytest.raises(BudgetExceededError):
-        enumerate_pairs_by_length(2, 10, OracleBudget(max_total_length=8))
+        enumerate_pairs_by_length(2, 10, Budget(oracle_max_total_length=8))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from offsetwords.config import Budget
 from offsetwords.errors import BudgetExceededError
 from offsetwords.oracle import enumerate_pairs_by_length
 from offsetwords.parseval import (
@@ -56,9 +57,10 @@ def test_cap_refusal():
         parseval_lhs(3, 13)
     with pytest.raises(BudgetExceededError):
         parseval_rhs_series(2, 40)
+    raised = Budget(parseval_k_cap=14)
     with pytest.raises(BudgetExceededError, match="OFFSETWORDS_PARSEVAL_K_CAP"):
-        parseval_rhs_series(2, 15, k_cap=14)
-    assert parseval_lhs(2, 13, k_cap=14).coeffs == parseval_rhs_series(2, 13, k_cap=14).coeffs
+        parseval_rhs_series(2, 15, budget=raised)
+    assert parseval_lhs(2, 13, budget=raised).coeffs == parseval_rhs_series(2, 13, budget=raised).coeffs
 
 
 def test_numeric_check():

@@ -50,11 +50,9 @@ def test_spectral_density_eval():
     for d, x in ((2, 0.3), (3, 0.2)):
         expected = (1 - x * d) ** -2
         assert abs(spectral_density_eval(x, [0.0] * d) - expected) < 1e-12
-    assert abs(spectral_density_eval(0.25, [0.0, math.pi], d=2) - 1.0) < 1e-12
+    assert abs(spectral_density_eval(0.25, [0.0, math.pi]) - 1.0) < 1e-12
     with pytest.raises(StabilityError):
-        spectral_density_eval(0.5, [0.0, 0.0], d=2)
-    with pytest.raises(ValueError):
-        spectral_density_eval(0.1, [0.0, 0.0], d=3)
+        spectral_density_eval(0.5, [0.0, 0.0])
 
 
 def test_fourier_numeric_examples():
@@ -64,8 +62,6 @@ def test_fourier_numeric_examples():
         assert abs(fourier_coefficient_numeric(xi, 0.15 if len(xi) == 2 else 0.1, r=r)) < 1e-9
     with pytest.raises(StabilityError):
         fourier_coefficient_numeric((0, 0), 0.5)
-    with pytest.raises(ValueError):
-        fourier_coefficient_numeric((0, 0), 0.1, d=3)
 
 
 def test_fourier_numeric_matches_series_partial_sum():

@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from offsetwords import series
 from offsetwords.core import OffsetVector, count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
 from offsetwords.parseval import offsets_with_norm_at_most
+from offsetwords.errors import BudgetExceededError
 from offsetwords.series import (
     LaurentTable,
     XSeries,
+    check_table_size,
     fourier_coefficient_series,
+    lattice_points,
     ogf_w,
+    spectral_rows,
     spectral_series,
     verify_determinantal,
 )
@@ -132,6 +137,23 @@ def test_spectral_series_matches_pair_sum(d, r, truncation):
     assert set(table.entries) == set(expected)
     for eta, row in expected.items():
         assert table.entries[eta].coeffs == tuple(F(c) for c in row), eta
+
+
+def test_table_cells_are_bounded_before_building(monkeypatch):
+    # lattice_points(d, T) is the table's exponent count, so its size is known up front
+    for d, truncation in ((1, 9), (2, 6), (3, 5), (4, 4)):
+        points = lattice_points(d, truncation)
+        assert points == len(spectral_rows(d, 1, truncation))
+        assert points == sum(1 for _ in offsets_with_norm_at_most(d, truncation))
+    check_table_size(3, 40)  # 3.6M cells
+    check_table_size(6, 12)  # 4.8M cells
+    with pytest.raises(BudgetExceededError, match="cells"):
+        check_table_size(8, 24)
+    # spectral_rows consults the cap; d=2, T=10 has 221 * 11 cells
+    monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2000)
+    with pytest.raises(BudgetExceededError):
+        spectral_rows(2, 1, 10)
+    assert len(spectral_rows(2, 1, 9)) == lattice_points(2, 9)
 
 
 def test_extraction_consistency():
