@@ -67,6 +67,8 @@ def _cmd_count(args, budget: Budget) -> int:
 
 
 def _cmd_oracle(args, budget: Budget) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     print(oracle_count(args.n, args.xi, budget))
     if args.list:
         for word in oracle_words(args.n, args.xi, budget, limit=args.limit):

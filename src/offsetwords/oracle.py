@@ -45,7 +45,8 @@ def oracle_count(n: int, xi, budget: Budget = DEFAULT_BUDGET) -> BigCount:
 
 
 def oracle_words(n: int, xi, budget: Budget = DEFAULT_BUDGET, limit: int | None = None) -> Iterator[tuple]:
-    """Yield the actual offset words ww' (capped listing for the CLI)."""
+    """Yield the actual offset words ww', at most ``limit`` of them (none when
+    limit <= 0)."""
     xi = as_offset(xi)
     d = xi.d
     plus, minus = sign_split(xi)
@@ -55,10 +56,10 @@ def oracle_words(n: int, xi, budget: Budget = DEFAULT_BUDGET, limit: int | None 
         rho_w = parikh(w, d)
         for wp in product(range(1, d + 1), repeat=n + sum(minus)):
             if tuple(a - b for a, b in zip(rho_w, parikh(wp, d))) == xi.components:
-                yield w + wp
-                emitted += 1
                 if limit is not None and emitted >= limit:
                     return
+                yield w + wp
+                emitted += 1
 
 
 def is_abelian_square(word: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ and brute-force pair enumeration (oracle module).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import Counter
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -48,25 +48,23 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
     """Coefficient of x^k: sum over xi and n1+n2+||xi||_1 = k of w_(n1,xi) w_(n2,xi).
 
     Counts ordered pairs of offset-xi words with total length 2k, summed over
-    xi with multiplicity.  ``budget.parseval_k_cap`` bounds k_max, and the
-    cell cap of the length-2k spectral table that parseval_rhs_series builds
-    is checked before the walk starts.
+    xi with multiplicity.  Counts are invariant under coordinate permutation
+    and global negation, so the pair sum runs once per class (_canonical) and
+    is scaled by the class size.  ``budget.parseval_k_cap`` bounds k_max, and
+    the cell cap of the length-2k spectral table that parseval_rhs_series
+    builds is checked before the walk starts.
     """
     budget.check_parseval(k_max)
     check_table_size(d, 2 * k_max)
-    cache: dict = {}
-    coeffs = [Fraction(0)] * (k_max + 1)
-    for xi in offsets_with_norm_at_most(d, k_max):
+    classes = Counter(_canonical(xi) for xi in offsets_with_norm_at_most(d, k_max))
+    coeffs = [0] * (k_max + 1)
+    for xi, size in classes.items():
         norm = sum(abs(c) for c in xi)
-        top = k_max - norm
-        key = _canonical(xi)
-        counts = cache.get(key)
-        if counts is None or len(counts) < top + 1:
-            counts = count_row(top, xi)
-            cache[key] = counts
-        for n1 in range(top + 1):
-            for n2 in range(top + 1 - n1):
-                coeffs[n1 + n2 + norm] += counts[n1] * counts[n2]
+        counts = count_row(k_max - norm, xi)
+        for n1, a in enumerate(counts):
+            a *= size
+            for n2 in range(len(counts) - n1):
+                coeffs[n1 + n2 + norm] += a * counts[n2]
     return XSeries(tuple(coeffs))
 
 

@@ -9,6 +9,12 @@ spectral density itself is analytic near the torus, so for the non-polynomial
 integrands the same grids converge geometrically and are validated by
 doubling (M against 2M).
 
+Density means are iterated integrals with one axis exact: with
+a = 1 - x sum_(j<d) e^(i r theta_j), the mean over the last angle of
+e^(-ik theta) |a - x e^(ir theta)|^(-2) has a closed form (|a| > |x| by
+stability), so only the first d-1 axes are gridded.  The grid-point cap
+still applies to the nominal M^d grid; the arrays hold M^(d-1) points.
+
 Grid means are reduced with numpy's pairwise summation, so results are
 deterministic from run to run to well below the asserted tolerances.  numpy
 is imported by the functions that use it, so importing the package does not
@@ -17,7 +23,6 @@ load it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -134,21 +139,42 @@ def spectral_density_eval(x: float, theta, r: int = 1) -> float:
     return float(1.0 / np.abs(1.0 - x * p) ** 2)
 
 
-@functools.lru_cache(maxsize=8)
-def _density_grid(d: int, r: int, x: float, grid_size: int) -> np.ndarray:
+def _last_axis_mean(a, x: float, k: int, r: int, power: int):
+    """Exact mean over theta of e^(-ik theta) |a - x e^(ir theta)|^(-2 power),
+    power 1 or 2, for complex a with |a| > |x| and r dividing k.
+
+    Expanding 1/(a - x u) in powers of u = e^(ir theta) leaves only the
+    frequencies r*j, so the mean vanishes unless r divides k; then, with
+    q = |k|/r, s = |a|^2 - x^2 and b = a (b = conj(a) when k < 0), it is
+    (x/b)^q / s at power 1 and (x/b)^q ((|a|^2 + x^2)/s^3 + q/s^2) at power 2.
+    """
     import numpy as np
 
-    grid = TorusGrid(d, grid_size)
-    p = grid.phase_sum(r=r)
-    return 1.0 / np.abs(1.0 - x * p) ** 2
+    q = abs(k) // r
+    modulus = np.abs(a) ** 2
+    s = modulus - x * x
+    weight = 1.0 / s if power == 1 else (modulus + x * x) / s**3 + q / s**2
+    return (x / (a if k >= 0 else np.conj(a))) ** q * weight
 
 
 def _density_mean(xi, x: float, r: int, grid_size: int, power: int = 1) -> complex:
+    """Mean of exp(-i xi.theta) |1 - x sum_j e^(i r theta_j)|^(-2 power) over
+    the d-torus: the last axis is integrated exactly (_last_axis_mean), the
+    other d-1 on the grid of grid_size points per axis.
+
+    The grid-point cap applies to the nominal grid of grid_size^d points,
+    checked before the (d-1)-dimensional grid is allocated.
+    """
     xi = as_offset(xi)
-    density = _density_grid(xi.d, r, float(x), grid_size)
-    if power != 1:
-        density = density**power
-    return TorusGrid(xi.d, grid_size).mean_with_phase(density, xi)
+    TorusGrid(xi.d, grid_size)  # refuses above the cap; allocates nothing
+    *head, k = xi.components
+    if k % r:
+        return 0j
+    if not head:
+        return complex(_last_axis_mean(1.0, x, k, r, power))
+    grid = TorusGrid(len(head), grid_size)
+    a = 1.0 - x * grid.phase_sum(r=r)
+    return grid.mean_with_phase(_last_axis_mean(a, x, k, r, power), head)
 
 
 def _doubled_until_stable(evaluate, start: int) -> complex:

@@ -57,6 +57,12 @@ def test_oracle_listing(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "3"
     assert sorted(lines[1:]) == ["111", "122", "212"]
+    code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--xi", "1,0", "--list", "--limit", "0")
+    assert code == 0 and out == "3\n"
+    code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--xi", "1,0", "--list", "--limit", "2")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, err = run_cli(capsys, "oracle", "--n", "1", "--xi", "1,0", "--list", "--limit", "-2")
+    assert code == 2 and out == "" and "--limit" in err
 
 
 def test_series_json(capsys):
@@ -168,6 +174,14 @@ def test_parseval_cap_follows_config(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "parseval", "--d", "2", "--k", "13", "--json")
     assert code == 0
     assert json.loads(out)["squared_expansion_agrees"] is True
+
+
+def test_parseval_numeric_grid_cap(capsys):
+    # near the d=2 edge the doubling reaches 8192 points per axis; the cap is
+    # on that nominal 8192^2 grid, although only one axis is gridded
+    code, out, err = run_cli(capsys, "parseval", "--d", "2", "--k", "2", "--numeric", "0.2499")
+    assert code == 3 and out == ""
+    assert "grid of 8192^2 points exceeds cap 40000000" in err
 
 
 def test_verify_suite(capsys):

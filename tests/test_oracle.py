@@ -26,6 +26,8 @@ def test_oracle_words_listing():
     assert words == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
     assert len(list(oracle_words(2, (0, 0)))) == oracle_count(2, (0, 0))
     assert len(list(oracle_words(2, (0, 0), limit=2))) == 2
+    assert list(oracle_words(1, (1, 0), limit=0)) == []
+    assert list(oracle_words(1, (1, 0), limit=-2)) == []
 
 
 def test_budget_refusal_is_loud():

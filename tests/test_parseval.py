@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from offsetwords.config import Budget
+from offsetwords.core import count_row
 from offsetwords.errors import BudgetExceededError
 from offsetwords.oracle import enumerate_pairs_by_length
 from offsetwords.parseval import (
@@ -38,6 +39,24 @@ def test_lhs_equals_rhs_exactly():
             assert parseval_lhs(d, k).coeffs == parseval_rhs_series(d, k).coeffs, (d, k)
     for k in range(5):
         assert parseval_lhs(4, k).coeffs == parseval_rhs_series(4, k).coeffs, (4, k)
+
+
+def per_offset_lhs(d, k_max):
+    """Reference: the pair sum over every offset separately, in Fraction."""
+    coeffs = [Fraction(0)] * (k_max + 1)
+    for xi in offsets_with_norm_at_most(d, k_max):
+        norm = sum(abs(c) for c in xi)
+        counts = count_row(k_max - norm, xi)
+        for n1 in range(len(counts)):
+            for n2 in range(len(counts) - n1):
+                coeffs[n1 + n2 + norm] += counts[n1] * counts[n2]
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_lhs_matches_per_offset_sum(d):
+    for k in range(9):
+        assert parseval_lhs(d, k).coeffs == per_offset_lhs(d, k), (d, k)
 
 
 def test_triple_agreement_with_brute_force():

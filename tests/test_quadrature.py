@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetwords.core import count_offset_words
 from offsetwords.errors import BudgetExceededError, StabilityError
 from offsetwords.quadrature import (
     TorusGrid,
+    _density_mean,
     density_square_mean,
     fourier_coefficient_numeric,
     integral_count,
@@ -90,3 +94,62 @@ def test_grid_budget():
         TorusGrid(4, 600)
     with pytest.raises(StabilityError):
         density_square_mean(2, 0.6)
+
+
+def full_grid_mean(xi, x, r, grid_size, power):
+    """Reference: the density on the full grid_size^d grid, contracted with
+    the phase on every axis (no axis integrated in closed form)."""
+    grid = TorusGrid(len(xi), grid_size)
+    density = 1.0 / np.abs(1.0 - x * grid.phase_sum(r=r)) ** 2
+    return grid.mean_with_phase(density**power, xi)
+
+
+# Per d, the reference grid size and the largest d|x| drawn.  The two means
+# share the aliasing of the first d-1 axes and differ by that of the last,
+# about rho^(M/r) with rho = |x| / (1 - (d-1)|x|); these pairs keep it near
+# 1e-15 or below for r <= 3.
+REFERENCE_GRID = {1: (4096, 0.95), 2: (512, 0.9), 3: (96, 0.6)}
+
+
+@st.composite
+def density_cases(draw):
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    head = draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    last = draw(st.sampled_from((0, r, -r, 2 * r, -2 * r)) | st.integers(-7, 7))
+    grid_size, edge = REFERENCE_GRID[d]
+    x = draw(st.just(0.0) | st.floats(-edge, edge)) / d
+    return tuple(head) + (last,), x, r, grid_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_cases(), st.sampled_from((1, 2)))
+def test_density_mean_matches_full_grid(case, power):
+    xi, x, r, grid_size = case
+    got = _density_mean(xi, x, r, grid_size, power=power)
+    want = full_grid_mean(xi, x, r, grid_size, power)
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("x", (0.0, 0.3, -0.5, 0.9, -0.99))
+def test_density_mean_closed_form_at_d1(x):
+    for k in range(-4, 5):
+        assert _density_mean((k,), x, 1, 64) == pytest.approx(x ** abs(k) / (1 - x * x), rel=1e-15)
+    for k in (1, -3, 5):
+        assert _density_mean((k,), x, 2, 64) == 0
+    assert _density_mean((0,), x, 1, 64, power=2) == pytest.approx((1 + x * x) / (1 - x * x) ** 3, rel=1e-15)
+    assert density_square_mean(1, x) == pytest.approx((1 + x * x) / (1 - x * x) ** 3, rel=1e-15)
+
+
+def test_density_grid_is_one_dimension_down(monkeypatch):
+    # the cap is checked on the nominal M^d grid, and the array built has d-1 axes
+    built = []
+    phase_sum = TorusGrid.phase_sum
+    monkeypatch.setattr(TorusGrid, "phase_sum", lambda self, r=1: built.append(self.d) or phase_sum(self, r))
+    fourier_coefficient_numeric((1, 0, -1), 0.1)
+    density_square_mean(2, 0.3)
+    assert built and set(built) == {1, 2}
+    built.clear()
+    with pytest.raises(BudgetExceededError, match=r"400\^3"):
+        fourier_coefficient_numeric((0, 0, 0), 0.1, grid_size=400)
+    assert built == []
