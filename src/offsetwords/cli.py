@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import __version__
 from .asymptotics import (
@@ -115,17 +116,25 @@ def _cmd_asympt(args, budget: Budget) -> int:
     if args.regime == "laplace":
         if args.xi is None:
             raise ValueError("laplace regime needs --xi")
-        rows = ratio_probe("laplace", args.sweep, xi=args.xi)
-        single = laplace_estimate(args.sweep[-1], args.xi)
+        probe, params = "laplace", {"xi": args.xi}
+        estimate = partial(laplace_estimate, xi=args.xi)
     elif args.regime == "sphase":
         if args.xi is None:
             raise ValueError("sphase regime needs --xi")
         print(SPHASE_CAVEAT)
-        rows = ratio_probe("stationary_phase", args.sweep, xi=args.xi, n=args.n)
-        single = stationary_phase_estimate(args.n, args.xi, args.sweep[-1])
+        probe, params = "stationary_phase", {"xi": args.xi, "n": args.n}
+        estimate = partial(stationary_phase_estimate, args.n, args.xi)
     else:
-        rows = ratio_probe("large_d", args.sweep, n=args.n, m=args.m)
-        single = large_d_estimate(args.n, args.m, args.sweep[-1])
+        probe, params = "large_d", {"n": args.n, "m": args.m}
+        estimate = partial(large_d_estimate, args.n, args.m)
+    # the estimates are floats; refuse a sweep past their range before counting
+    for value in args.sweep:
+        try:
+            estimate(value)
+        except OverflowError:
+            raise ValueError(f"{args.regime} estimate at sweep={value} overflows a float") from None
+    rows = ratio_probe(probe, args.sweep, **params)
+    single = estimate(args.sweep[-1])
     print(f"# estimate at sweep={rows[-1].sweep}: {single.value:.12e}")
     print("sweep,exact,estimate,ratio")
     for row in rows:

@@ -5,9 +5,15 @@ the generating function, by half total length, for ordered pairs of words
 sharing an offset class.  A pair at orders (n1, n2) with offset xi lands at
 x^(n1 + n2 + ||xi||_1), i.e. total string length twice the x-power; the
 half-power substitution that motivates this is pure exponent bookkeeping, so
-no fractional powers ever appear.  Three independent computations meet here:
+no fractional powers ever appear.  Four independent computations meet here:
 the direct double sum over counts, squaring the spectral-density expansion,
-and brute-force pair enumeration (oracle module).
+brute-force pair enumeration (oracle module), and abelian squares with two
+cuts.  A pair of offset-xi words u = u1 u2, v = v1 v2 of total length 2k has
+rho(u1) - rho(u2) = xi = rho(v1) - rho(v2), so A = u1 v2 and B = v1 u2 have
+equal Parikh vectors and length k each: AB is an abelian square.  Conversely
+an abelian square AB with a cut in A and a cut in B gives back u1, v2, v1, u2
+and the shared offset.  The x^k coefficient is therefore (k+1)^2 w(k, 0_d),
+and the numeric check reads it from one constant-offset row.
 """
 
 from __future__ import annotations
@@ -88,6 +94,12 @@ def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) 
     return XSeries(tuple(acc[2 * k] for k in range(k_max + 1)))
 
 
+def _square_pair_counts(d: int, k_max: int) -> tuple:
+    """The pair-count coefficients (k+1)^2 w(k, 0_d), k <= k_max, read as
+    abelian squares with two cuts (module docstring) from one row."""
+    return tuple((k + 1) ** 2 * w for k, w in enumerate(count_row(k_max, (0,) * d)))
+
+
 class ParsevalCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -97,16 +109,17 @@ class ParsevalCheck(NamedTuple):
 def parseval_numeric_check(d: int, x: float, grid_size: int | None = None, k_max: int = 10) -> ParsevalCheck:
     """Truncated series evaluation against quadrature of the squared density.
 
-    lhs is the pair-count series at x truncated at k_max plus nothing; the
-    returned tail bound dominates the dropped terms: the x^k coefficient is at
+    lhs is the pair-count series at x truncated at k_max, with the
+    coefficients of parseval_lhs read from _square_pair_counts; the returned
+    tail bound dominates the dropped terms: the x^k coefficient is at
     most (2k+1)(k+1) d^(2k) (pairs of strings times shared labels), so the
     tail is bounded by the elementary series sum_{k>k_max} (2k+1)(k+1)(d^2 x)^k.
     rhs is the grid quadrature of the squared density at sqrt(x).
     """
     if not 0.0 <= x < 1.0 / d**2:
         raise ValueError(f"x = {x} outside [0, 1/d^2) for d = {d}")
-    series = parseval_lhs(d, k_max)
-    lhs = series.eval_float(x)
+    DEFAULT_BUDGET.check_parseval(k_max)
+    lhs = XSeries(_square_pair_counts(d, k_max)).eval_float(x)
     q = d * d * x
     tail = 0.0
     k = k_max + 1

@@ -9,11 +9,14 @@ spectral density itself is analytic near the torus, so for the non-polynomial
 integrands the same grids converge geometrically and are validated by
 doubling (M against 2M).
 
-Density means are iterated integrals with one axis exact: with
-a = 1 - x sum_(j<d) e^(i r theta_j), the mean over the last angle of
-e^(-ik theta) |a - x e^(ir theta)|^(-2) has a closed form (|a| > |x| by
-stability), so only the first d-1 axes are gridded.  The grid-point cap
-still applies to the nominal M^d grid; the arrays hold M^(d-1) points.
+Both kinds of mean are iterated integrals with one axis exact, so only the
+first d-1 axes are gridded.  For the count, with s = sum_(j<d) e^(i theta_j),
+the mean over the last angle of e^(-ik theta) (s + e^(i theta))^a
+conj(s + e^(i theta))^b is a finite binomial sum in s and conj(s).  For the
+density, with a = 1 - x sum_(j<d) e^(i r theta_j), the mean over the last
+angle of e^(-ik theta) |a - x e^(ir theta)|^(-2) has a closed form (|a| > |x|
+by stability).  The grid-point cap still applies to the nominal M^d grid; the
+arrays hold M^(d-1) points.
 
 Grid means are reduced with numpy's pairwise summation, so results are
 deterministic from run to run to well below the asserted tolerances.  numpy
@@ -24,6 +27,7 @@ load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import TYPE_CHECKING
 
 from .core import as_offset, sign_split
@@ -95,16 +99,41 @@ def quadrature_threshold(n: int, xi) -> int:
     return 2 * (2 * n + xi.one_norm) + 1
 
 
-def integral_mean(n: int, xi, grid_size: int) -> complex:
-    """Raw grid mean of the count integrand (complex; imaginary part is noise)."""
-    import numpy as np
+def _last_axis_count_mean(s, a: int, b: int, k: int):
+    """Exact mean over theta of e^(-ik theta) (s + e^(i theta))^a conj(s + e^(i theta))^b.
 
+    Expanding both powers binomially leaves frequency k only where the
+    exponent of e^(i theta) exceeds that of e^(-i theta) by k, so the mean is
+    sum_j C(a, j+k) C(b, j) s^(a-j-k) conj(s)^(b-j) over
+    max(0, -k) <= j <= top = min(b, a-k).  Each term is s^(a-k-top)
+    conj(s)^(b-top) times |s|^(2(top-j)), so the sum is a polynomial with
+    nonnegative coefficients in |s|^2, evaluated by Horner's rule.
+    """
+    conj_s = s.conjugate()
+    modulus = (s * conj_s).real
+    top = min(b, a - k)
+    poly = 0
+    for j in range(max(0, -k), top + 1):
+        poly = poly * modulus + comb(a, j + k) * comb(b, j)
+    return poly * s ** (a - k - top) * conj_s ** (b - top)
+
+
+def integral_mean(n: int, xi, grid_size: int) -> complex:
+    """Grid mean of the count integrand (complex; imaginary part is noise).
+
+    The last axis is integrated exactly (_last_axis_count_mean), the other
+    d-1 on the grid of grid_size points per axis; the grid-point cap applies
+    to the nominal grid of grid_size^d points, checked before allocating.
+    """
     xi = as_offset(xi)
     plus, minus = sign_split(xi)
-    grid = TorusGrid(xi.d, grid_size)
-    p = grid.phase_sum(r=1)
-    integrand = p ** (n + sum(plus)) * np.conj(p) ** (n + sum(minus))
-    return grid.mean_with_phase(integrand, xi)
+    TorusGrid(xi.d, grid_size)  # refuses above the cap; allocates nothing
+    *head, k = xi.components
+    a, b = n + sum(plus), n + sum(minus)
+    if not head:
+        return complex(_last_axis_count_mean(0j, a, b, k))
+    grid = TorusGrid(len(head), grid_size)
+    return grid.mean_with_phase(_last_axis_count_mean(grid.phase_sum(r=1), a, b, k), head)
 
 
 def integral_count(n: int, xi, grid_size: int | None = None) -> float:

@@ -24,7 +24,13 @@ from .asymptotics import (
 )
 from .core import OffsetVector, as_offset, count_offset_words, count_row, multinomial, sign_split
 from .oracle import enumerate_pairs_by_length, oracle_count
-from .parseval import offsets_with_norm_at_most, parseval_lhs, parseval_numeric_check, parseval_rhs_series
+from .parseval import (
+    _square_pair_counts,
+    offsets_with_norm_at_most,
+    parseval_lhs,
+    parseval_numeric_check,
+    parseval_rhs_series,
+)
 from .quadrature import fourier_coefficient_numeric, integral_count, integral_mean, quadrature_threshold
 from .recurrence import _certified, all_splits, recurrence_count
 from .series import fourier_coefficient_series, spectral_series, verify_determinantal
@@ -243,6 +249,12 @@ def suite_parseval() -> list:
         _result("parseval", "direct sum equals squared expansion exactly (d<=3, k<=6)", eq_ok)
     )
     results.append(_result("parseval", "all pair-count coefficients are positive integers", positive_ok))
+    # the numeric check's series: a same-offset pair is an abelian square
+    # with one cut in each half
+    squares_ok = all(parseval_lhs(d, k).coeffs == _square_pair_counts(d, k) for d in (1, 2, 3, 4) for k in (3, 6))
+    results.append(
+        _result("parseval", "pair counts equal (k+1)^2 x abelian squares (d<=4, k<=6)", squares_ok)
+    )
     numeric_ok = True
     details = []
     for d, x in ((2, 0.1), (2, 0.2), (3, 0.05)):

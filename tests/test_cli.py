@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import offsetwords
+from offsetwords.asymptotics import laplace_estimate, large_d_estimate
 from offsetwords.cli import build_parser, main
 from offsetwords.config import Budget
 from offsetwords.core import count_offset_words
@@ -146,6 +147,29 @@ def test_asympt_sphase_prints_caveat(capsys):
     assert code == 0
     assert "caveat" in out.splitlines()[0]
     assert "lambda^(-(d-1)/2)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, regime, sweep",
+    (
+        (("--regime", "laplace", "--xi", "0,0,0,0", "--sweep", "260"), "laplace", 260),
+        (("--regime", "bigd", "--n", "4", "--m", "2", "--sweep", "10,100"), "bigd", 100),
+        (("--regime", "sphase", "--xi", "1,1", "--sweep", "8,2000"), "sphase", 2000),
+    ),
+)
+def test_asympt_overflow_is_usage_error(capsys, argv, regime, sweep):
+    code, _, err = run_cli(capsys, "asympt", *argv)
+    assert code == 2
+    assert err == f"error: {regime} estimate at sweep={sweep} overflows a float\n"
+
+
+def test_library_estimates_still_overflow():
+    # only the CLI turns the overflow into a usage error; perfbench counts
+    # the library's OverflowError as a documented overflow
+    with pytest.raises(OverflowError):
+        laplace_estimate(260, (0, 0, 0, 0))
+    with pytest.raises(OverflowError):
+        large_d_estimate(4, 2, 100)
 
 
 def test_asympt_missing_xi_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -53,10 +54,22 @@ def per_offset_lhs(d, k_max):
     return tuple(coeffs)
 
 
+def abelian_squares_with_two_cuts(d, k_max):
+    """(k+1)^2 w(k, 0_d): a same-offset pair (u1 u2, v1 v2) of total length 2k
+    is the abelian square (u1 v2)(v1 u2) with one cut in each half."""
+    return tuple((k + 1) ** 2 * w for k, w in enumerate(count_row(k_max, (0,) * d)))
+
+
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_lhs_matches_per_offset_sum(d):
     for k in range(9):
-        assert parseval_lhs(d, k).coeffs == per_offset_lhs(d, k), (d, k)
+        assert parseval_lhs(d, k).coeffs == per_offset_lhs(d, k) == abelian_squares_with_two_cuts(d, k), (d, k)
+
+
+@pytest.mark.parametrize("d, k_max", ((2, 4), (3, 3)))
+def test_pair_enumeration_counts_abelian_squares_with_two_cuts(d, k_max):
+    brute = tuple(enumerate_pairs_by_length(d, 2 * k) for k in range(k_max + 1))
+    assert brute == abelian_squares_with_two_cuts(d, k_max)
 
 
 def test_triple_agreement_with_brute_force():
@@ -93,6 +106,21 @@ def test_numeric_check():
         parseval_numeric_check(2, 0.25)
     with pytest.raises(ValueError):
         parseval_numeric_check(2, -0.01)
+
+
+@pytest.mark.parametrize("d, x, k_max", ((1, 0.6, 12), (2, 0.1, 10), (2, 0.24, 6), (3, 0.05, 10), (3, 0.1, 12)))
+def test_numeric_check_series_is_the_pair_sum(d, x, k_max):
+    # the check reads the abelian-square row; its float must be the pair sum's
+    assert parseval_numeric_check(d, x, k_max=k_max).lhs == parseval_lhs(d, k_max).eval_float(x)
+
+
+def test_numeric_check_refusals():
+    with pytest.raises(BudgetExceededError, match="parseval_k_cap.*OFFSETWORDS_PARSEVAL_K_CAP"):
+        parseval_numeric_check(2, 0.1, k_max=13)
+    # the x range is checked first, with the same message as before
+    for d, x in ((2, 0.25), (2, -0.01), (3, 0.2)):
+        with pytest.raises(ValueError, match=re.escape(f"x = {x} outside [0, 1/d^2) for d = {d}")):
+            parseval_numeric_check(d, x, k_max=13)
 
 
 def test_pair_roster_multiplicities():

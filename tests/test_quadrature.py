@@ -153,3 +153,60 @@ def test_density_grid_is_one_dimension_down(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"400\^3"):
         fourier_coefficient_numeric((0, 0, 0), 0.1, grid_size=400)
     assert built == []
+
+
+def full_grid_integral_mean(n, xi, grid_size):
+    """Reference: the count integrand on the full grid_size^d grid, contracted
+    with the phase on every axis (no axis integrated in closed form)."""
+    plus = sum(max(c, 0) for c in xi)
+    minus = sum(max(-c, 0) for c in xi)
+    grid = TorusGrid(len(xi), grid_size)
+    p = grid.phase_sum(r=1)
+    return grid.mean_with_phase(p ** (n + plus) * np.conj(p) ** (n + minus), xi)
+
+
+# The reference holds its whole grid, several complex arrays deep; grids
+# above this many points are left out of the property to keep memory small.
+REFERENCE_POINTS = 1 << 20
+
+
+@st.composite
+def count_cases(draw):
+    d = draw(st.integers(1, 4))
+    last = draw(st.integers(-3, 3))
+    head = []
+    for _ in range(d - 1):  # ||xi||_1 <= 3
+        room = 3 - abs(last) - sum(map(abs, head))
+        head.append(draw(st.integers(-room, room)))
+    xi = tuple(head) + (last,)
+    n = draw(st.integers(0, 4))
+    threshold = quadrature_threshold(n, xi)
+    sizes = [m for m in (threshold, 2 * threshold + 1) if m**d <= REFERENCE_POINTS]
+    return n, xi, draw(st.sampled_from(sizes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_cases())
+def test_integral_mean_matches_full_grid(case):
+    n, xi, grid_size = case
+    got = integral_mean(n, xi, grid_size)
+    want = full_grid_integral_mean(n, xi, grid_size)
+    tol = 1e-12 * max(abs(want), 1.0)
+    assert abs(got.real - want.real) <= tol and abs(got.imag - want.imag) <= tol
+
+
+def test_integral_grid_is_one_dimension_down(monkeypatch):
+    # the cap is checked on the nominal M^d grid, and the array built has d-1 axes
+    built = []
+    phase_sum = TorusGrid.phase_sum
+    monkeypatch.setattr(TorusGrid, "phase_sum", lambda self, r=1: built.append(self.d) or phase_sum(self, r))
+    assert integral_count(2, (1, 0, -1, 0)) == pytest.approx(count_offset_words(2, (1, 0, -1, 0)), rel=1e-12)
+    assert integral_count(3, (1, 1)) == pytest.approx(count_offset_words(3, (1, 1)), rel=1e-12)
+    assert built == [3, 1]
+    built.clear()
+    # at d = 1 the closed form alone is exact
+    assert [integral_mean(n, (k,), 1) for n in range(4) for k in (-2, 0, 3)] == [1.0] * 12
+    assert built == []
+    with pytest.raises(BudgetExceededError, match=r"80\^4"):
+        integral_count(1, (0, 0, 0, 0), grid_size=80)
+    assert built == []
