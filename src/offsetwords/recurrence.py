@@ -57,8 +57,10 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
     Sums over j (the number of S-characters in the first half beyond the
     forced xi^+ occurrences) the product of two binomials choosing the
     positions and the two sub-alphabet counts.  Agrees with
-    count_offset_words; sub-counts are themselves computed by the direct
-    composition sum, so this is an identity check rather than a shortcut.
+    count_offset_words, which also gives the sub-counts: the composition sum
+    at non-constant sub-offsets and the grouped-letter fold of count_orders
+    at constant ones (every one-letter sub-alphabet among them).  This is an
+    identity check rather than a shortcut.
     """
     if not isinstance(split, AlphabetSplit):
         split = AlphabetSplit(tuple(split))

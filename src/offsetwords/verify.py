@@ -1,8 +1,10 @@
 """Self-check suites aggregating the invariants of every module.
 
 Each suite returns a list of CheckResult rows; the CLI prints them and exits
-nonzero when any check fails.  Randomized checks use fixed, recorded seeds so
-runs are reproducible.
+nonzero when any check fails.  These rows are the one definition of each
+cross-route check: the tests read them rather than repeating the loops, so
+row names are unique across suites.  Randomized checks use fixed, recorded
+seeds so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -52,29 +54,26 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
 
 
 def suite_oracle() -> list:
-    """Brute force vs formula vs recurrence vs quadrature on the common range."""
+    """Brute force vs formula vs quadrature on the common range."""
     results = []
     worst_rel = 0.0
     mismatches = []
+    pairs = 0
     for d in (1, 2, 3):
-        splits = all_splits(d)
         for xi_t in offsets_with_norm_at_most(d, 3):
             xi = OffsetVector(xi_t)
             for n in range(5):
+                pairs += 1
                 w = count_offset_words(n, xi)
                 if oracle_count(n, xi) != w:
-                    mismatches.append(f"oracle({n},{xi_t})")
-                for split in splits:
-                    if recurrence_count(n, xi, split) != w:
-                        mismatches.append(f"recurrence({n},{xi_t},{split.selected})")
-                quad = integral_count(n, xi)
-                worst_rel = max(worst_rel, abs(quad - w) / w)
+                    mismatches.append((n, xi_t))
+                worst_rel = max(worst_rel, abs(integral_count(n, xi) - w) / w)
     results.append(
         _result(
             "oracle",
-            "count == brute force == every-split recurrence (d<=3, n<=4, |xi|<=3)",
+            "count == brute force (d<=3, n<=4, |xi|<=3)",
             not mismatches,
-            f"{len(mismatches)} mismatches" if mismatches else "all equal",
+            f"{pairs} (n, xi) pairs" + (f", {len(mismatches)} mismatches" if mismatches else ", all equal"),
         )
     )
     results.append(
@@ -225,33 +224,28 @@ def suite_bessel() -> list:
 def suite_parseval() -> list:
     """Pair-count series: direct sum, squared expansion, brute force, quadrature."""
     results = []
-    triple = [int(c) for c in parseval_lhs(2, 2).coeffs]
-    rhs = [int(c) for c in parseval_rhs_series(2, 2).coeffs]
+    triple = parseval_lhs(2, 2).coeffs
+    rhs = parseval_rhs_series(2, 2).coeffs
     brute = [enumerate_pairs_by_length(2, 2 * k) for k in range(3)]
     results.append(
         _result(
             "parseval",
             "d=2: [1, 8, 54] from direct sum, squared table and brute force",
-            triple == rhs == brute == [1, 8, 54],
-            f"lhs={triple} rhs={rhs} brute={brute}",
+            list(triple) == list(rhs) == brute == [1, 8, 54],
+            f"lhs=[{', '.join(map(str, triple))}] rhs=[{', '.join(map(str, rhs))}] brute={brute}",
         )
     )
-    eq_ok = True
-    positive_ok = True
-    for d in (1, 2, 3):
-        for k in (3, 6):
-            lhs = parseval_lhs(d, k)
-            if lhs.coeffs != parseval_rhs_series(d, k).coeffs:
-                eq_ok = False
-            if any(c <= 0 or c.denominator != 1 for c in lhs.coeffs):
-                positive_ok = False
+    lhs = {(d, k): parseval_lhs(d, k).coeffs for d in (1, 2, 3, 4) for k in (3, 6)}
+    small = [(d, k) for d, k in lhs if d <= 3]
+    eq_ok = all(lhs[d, k] == parseval_rhs_series(d, k).coeffs for d, k in small)
+    positive_ok = all(c > 0 and c.denominator == 1 for key in small for c in lhs[key])
     results.append(
         _result("parseval", "direct sum equals squared expansion exactly (d<=3, k<=6)", eq_ok)
     )
     results.append(_result("parseval", "all pair-count coefficients are positive integers", positive_ok))
     # the numeric check's series: a same-offset pair is an abelian square
     # with one cut in each half
-    squares_ok = all(parseval_lhs(d, k).coeffs == _square_pair_counts(d, k) for d in (1, 2, 3, 4) for k in (3, 6))
+    squares_ok = all(coeffs == _square_pair_counts(d, k) for (d, k), coeffs in lhs.items())
     results.append(
         _result("parseval", "pair counts equal (k+1)^2 x abelian squares (d<=4, k<=6)", squares_ok)
     )
@@ -272,10 +266,10 @@ def suite_series() -> list:
     """Monomial expansion of the density against the count-built series."""
     results = []
     trunc = 8
+    bases = {d: spectral_series(d, 1, trunc) for d in (1, 2, 3)}
     extract_bad = []
     parity_bad = []
-    for d in (1, 2, 3):
-        table = spectral_series(d, 1, trunc)
+    for d, table in bases.items():
         for xi_t in offsets_with_norm_at_most(d, 3):
             direct = fourier_coefficient_series(xi_t, d, 1, trunc)
             if table.entry(xi_t).coeffs != direct.coeffs:
@@ -299,19 +293,16 @@ def suite_series() -> list:
             not parity_bad,
         )
     )
-    mass_ok = True
-    for d in (1, 2, 3):
-        table = spectral_series(d, 1, trunc)
-        for k in range(trunc + 1):
-            total = sum(table.entries[exp][k] for exp in table.entries)
-            if total != (k + 1) * d**k:
-                mass_ok = False
+    mass_ok = all(
+        sum(entry[k] for entry in table.entries.values()) == (k + 1) * d**k
+        for d, table in bases.items()
+        for k in range(trunc + 1)
+    )
     results.append(
         _result("series", "mass: coefficients at x^k across all entries sum to (k+1) d^k", mass_ok)
     )
     rdiv_bad = []
-    for d in (1, 2, 3):
-        base = spectral_series(d, 1, trunc)
+    for d, base in bases.items():
         for r in (2, 3):
             table = spectral_series(d, r, trunc)
             for xi_t in offsets_with_norm_at_most(d, 4):
@@ -369,17 +360,18 @@ def suite_quadrature() -> list:
     results.append(
         _result("quadrature", "density coefficients match series partial sums within the tail", tail_ok, "; ".join(details))
     )
-    vanish_worst = 0.0
-    for d in (2, 3):
-        for r in (2, 3):
-            for xi_t in offsets_with_norm_at_most(d, 4):
-                xi = OffsetVector(xi_t)
-                if not xi.divisible_by(r):
-                    vanish_worst = max(vanish_worst, abs(fourier_coefficient_numeric(xi, 0.9 / d**2, r=r)))
+    vanish_worst = max(
+        abs(fourier_coefficient_numeric(xi, scale / d**2, r=r))
+        for d in (1, 2, 3)
+        for scale in (0.5, 0.9)
+        for r in (2, 3)
+        for xi in map(OffsetVector, offsets_with_norm_at_most(d, 4))
+        if not xi.divisible_by(r)
+    )
     results.append(
         _result(
             "quadrature",
-            "numeric coefficients vanish below 1e-9 when r does not divide xi",
+            "numeric coefficients vanish below 1e-9 when r does not divide xi (d<=3, |xi|<=4, x = 0.5/d^2, 0.9/d^2)",
             vanish_worst < 1e-9,
             f"worst magnitude {vanish_worst:.3e}",
         )
@@ -432,17 +424,17 @@ def suite_asymptotics() -> list:
                 f"n=50 gap {gap50:.3e}, n=300 gap {gap300:.3e}",
             )
         )
-    ratio_ok = True
-    deficit_ok = True
-    for d in (50, 100, 200):
-        for n in range(4):
-            w = count_offset_words(n, (0,) * d)
-            ratio = w / (math.factorial(n) * d**n)
-            ratio_ok = ratio_ok and 1 - 3 / d <= ratio <= 1
-        deficit = 1 - Fraction(count_offset_words(2, (0,) * d), 2 * d * d)
-        deficit_ok = deficit_ok and abs(float(deficit) - 1 / (2 * d)) < 1e-12
+    ratio_ok = all(
+        1 - Fraction(3, d) <= Fraction(count_offset_words(n, (0,) * d), math.factorial(n) * d**n) <= 1
+        for d in (50, 100, 200)
+        for n in range(4)
+    )
+    deficit_ok = all(
+        abs(float(1 - Fraction(count_offset_words(2, (0,) * d), 2 * d * d)) - 1 / (2 * d)) < 1e-12
+        for d in (50, 100, 200)
+    )
     results.append(
-        _result("asymptotics", "alphabet regime: count/(n! d^n) in [1-3/d, 1] (n<=3, d<=200)", ratio_ok)
+        _result("asymptotics", "alphabet regime: count/(n! d^n) in [1-3/d, 1] exactly (n<=3, d<=200)", ratio_ok)
     )
     results.append(
         _result("asymptotics", "alphabet regime: exact n=2 deficit 1/(2d) to 1e-12", deficit_ok)
@@ -483,13 +475,13 @@ def suite_asymptotics() -> list:
     results.append(_result("asymptotics", "ray regime: lambda -> 4 lambda scaling identity", scaling_ok))
     rows = ratio_probe("stationary_phase", [8, 16, 32, 64], xi=(1, 1), n=0)
     exact_ok = all(r.exact == math.comb(2 * r.sweep, r.sweep) for r in rows)
-    drift = rows[-1].ratio / rows[-2].ratio
+    steps = [b.ratio / a.ratio / math.sqrt(2) - 1 for a, b in zip(rows, rows[1:])]
     results.append(
         _result(
             "asymptotics",
-            "ray regime probe: exact counts are central binomials; ratios DRIFT (known caveat)",
-            exact_ok and drift > 1.2,
-            f"ratios {', '.join(f'{r.ratio:.3g}' for r in rows)} (each ~sqrt(2) above the last)",
+            "ray regime probe: exact counts are central binomials; ratios DRIFT by sqrt(2) per doubling, to 6% (known caveat)",
+            exact_ok and all(abs(step) <= 0.06 for step in steps),
+            f"ratios {', '.join(f'{r.ratio:.3g}' for r in rows)}; steps off sqrt(2) by {', '.join(f'{s:+.1%}' for s in steps)}",
         )
     )
     return results

@@ -208,12 +208,32 @@ def test_parseval_numeric_grid_cap(capsys):
     assert "grid of 8192^2 points exceeds cap 40000000" in err
 
 
-def test_verify_suite(capsys):
-    # every registered suite is selectable by name
+def test_verify_suite(capsys, monkeypatch, suite_runs):
+    # one real run end to end; every selection then prints the rows that the
+    # session's suite runs recorded, and those print as the real run does
+    code, real, _ = run_cli(capsys, "verify", "--suite", "determinantal")
+    assert code == 0 and "[PASS] determinantal:" in real and "[FAIL]" not in real
     for suite in SUITES:
+        monkeypatch.setitem(SUITES, suite, lambda rows=suite_runs.all_rows(suite): rows)
+    assert run_cli(capsys, "verify", "--suite", "determinantal")[1] == real
+    for suite in (*SUITES, "all"):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0, suite
-        assert f"[PASS] {suite}:" in out and "[FAIL]" not in out, suite
+        assert "[FAIL]" not in out, suite
+        for name in SUITES if suite == "all" else (suite,):
+            assert f"[PASS] {name}:" in out, (suite, name)
+    total = sum(len(suite_runs.all_rows(suite)) for suite in SUITES)
+    assert out.endswith(f"{total}/{total} checks passed\n")
+
+
+def test_suite_row_names_are_unique(suite_runs):
+    # a criterion picks its rows by name substring, so a renamed check must
+    # fail the pick rather than drop out of it
+    names = [row.name for suite in SUITES for row in suite_runs.all_rows(suite)]
+    assert len(names) == len(set(names))
+    for needle in ("order regime", "no such check"):
+        with pytest.raises(AssertionError, match="matches [03] rows"):
+            suite_runs.check("asymptotics", needle)
 
 
 def test_usage_errors_exit_2(capsys):

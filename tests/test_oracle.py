@@ -3,7 +3,7 @@ import random
 import pytest
 
 from offsetwords.config import Budget
-from offsetwords.core import classify_splits, count_offset_words
+from offsetwords.core import classify_splits
 from offsetwords.errors import BudgetExceededError
 from offsetwords.oracle import (
     enumerate_pairs_by_length,
@@ -42,11 +42,9 @@ def test_budget_refusal_is_loud():
     assert oracle_count(1, (0, 0), tight) == 2
 
 
-def test_matches_formula_on_common_range():
-    for d in (1, 2, 3):
-        for xi in offsets_with_norm_at_most(d, 3):
-            for n in range(5):
-                assert oracle_count(n, xi) == count_offset_words(n, xi), (n, xi)
+def test_matches_formula_on_common_range(suite_runs):
+    # d <= 3, n <= 4, |xi| <= 3: the oracle suite's row
+    suite_runs.check("oracle", "count == brute force")
 
 
 def test_is_abelian_square():

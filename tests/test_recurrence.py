@@ -1,7 +1,6 @@
 import pytest
 
 from offsetwords.core import count_offset_words, multinomial, sign_split
-from offsetwords.parseval import offsets_with_norm_at_most
 from offsetwords.recurrence import (
     AlphabetSplit,
     check_divisibility,
@@ -31,13 +30,9 @@ def test_recurrence_split_validation():
         recurrence_count(1, (1, 0), (3,))  # letter outside alphabet
 
 
-def test_recurrence_matches_direct_count_sampled():
-    for d, splits in ((2, [(1,), (2,)]), (3, [(1,), (3,), (1, 2), (2, 3)])):
-        for xi in offsets_with_norm_at_most(d, 2):
-            for n in range(4):
-                w = count_offset_words(n, xi)
-                for split in splits:
-                    assert recurrence_count(n, xi, split) == w, (n, xi, split)
+def test_recurrence_matches_direct_count_sampled(suite_runs):
+    # every split at d in 2..4, n <= 6, |xi| <= 4: the recurrence suite's row
+    suite_runs.check("recurrence", "for every split")
 
 
 def test_divisibility_modulus():
@@ -58,10 +53,6 @@ def test_check_divisibility_examples():
     assert check_divisibility(0, (0, 0))       # vacuous: no certificate applies
 
 
-def test_constant_offset_divisible_by_alphabet_size():
-    for d in (2, 3, 4):
-        for m in (-2, 0, 1, 2):
-            for n in range(8):
-                if (n, m) == (0, 0):
-                    continue
-                assert count_offset_words(n, (m,) * d) % d == 0, (n, m, d)
+def test_constant_offset_divisible_by_alphabet_size(suite_runs):
+    # d <= 6, |m| <= 3, n <= 30: the divisibility suite's row
+    suite_runs.check("divisibility", "constant offsets: d divides the count")

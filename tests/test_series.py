@@ -182,18 +182,9 @@ def test_mass_check():
             assert total == (k + 1) * d**k
 
 
-def test_r_divisibility_of_series():
-    for d in (2, 3):
-        for r in (2, 3):
-            for xi_t in offsets_with_norm_at_most(d, 4):
-                xi = OffsetVector(xi_t)
-                series = fourier_coefficient_series(xi, d, r, 8)
-                if xi.divisible_by(r):
-                    eta = xi.scale_down(r)
-                    expected = fourier_coefficient_series(eta, d, 1, 8)
-                    assert series.coeffs == expected.coeffs
-                else:
-                    assert series.is_zero()
+def test_r_divisibility_of_series(suite_runs):
+    # d <= 3, r in {2, 3}, |xi| <= 4, table and series: the series suite's row
+    suite_runs.check("series", "r-divisibility")
 
 
 def test_by_length_series_indexes_counts():
