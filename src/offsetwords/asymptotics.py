@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -309,33 +310,35 @@ def ratio_probe(regime: str, sweep: Sequence[int], **params) -> list:
     stationary_phase: sweep lambda at fixed xi != 0 and order n (diagnostic
     output only; the ratios document the lambda-exponent discrepancy).
     large_d: sweep the alphabet size d at fixed order n and constant offset m.
+
+    Every budget guard runs and every estimate is formed before any exact
+    count, so a sweep whose float estimate overflows raises OverflowError
+    without counting.
     """
-    rows = []
     if regime == "laplace":
         xi = as_offset(params["xi"])
-        for n in sweep:
-            _probe_guard(n, xi)
-        for n, exact in zip(sweep, count_orders(sweep, xi)):
-            est = laplace_estimate(n, xi)
-            rows.append(ProbeRow(n, exact, est.value, _ratio(exact, est)))
+        cases = [(n, xi) for n in sweep]
+        estimate = partial(laplace_estimate, xi=xi)
     elif regime == "stationary_phase":
         xi = as_offset(params["xi"])
         n = params.get("n", 0)
-        for lam in sweep:
-            scaled = xi * lam
-            _probe_guard(n, scaled)
-            exact = count_offset_words(n, scaled)
-            est = stationary_phase_estimate(n, xi, lam)
-            rows.append(ProbeRow(lam, exact, est.value, _ratio(exact, est)))
+        cases = [(n, xi * lam) for lam in sweep]
+        estimate = partial(stationary_phase_estimate, n, xi)
     elif regime == "large_d":
         n = params["n"]
         m = params.get("m", 0)
-        for d in sweep:
-            xi = OffsetVector((m,) * d)
-            _probe_guard(n, xi)
-            exact = count_offset_words(n, xi)
-            est = large_d_estimate(n, m, d)
-            rows.append(ProbeRow(d, exact, est.value, _ratio(exact, est)))
+        cases = [(n, OffsetVector((m,) * d)) for d in sweep]
+        estimate = partial(large_d_estimate, n, m)
     else:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    return rows
+    for order, offset in cases:
+        _probe_guard(order, offset)
+    estimates = [estimate(value) for value in sweep]
+    if regime == "laplace":
+        exacts = count_orders(sweep, xi)  # one fold serves the whole sweep
+    else:
+        exacts = [count_offset_words(order, offset) for order, offset in cases]
+    return [
+        ProbeRow(value, exact, est.value, _ratio(exact, est))
+        for value, exact, est in zip(sweep, exacts, estimates)
+    ]

@@ -134,8 +134,7 @@ def _cmd_asympt(args, budget: Budget) -> int:
         except OverflowError:
             raise ValueError(f"{args.regime} estimate at sweep={value} overflows a float") from None
     rows = ratio_probe(probe, args.sweep, **params)
-    single = estimate(args.sweep[-1])
-    print(f"# estimate at sweep={rows[-1].sweep}: {single.value:.12e}")
+    print(f"# estimate at sweep={rows[-1].sweep}: {rows[-1].estimate:.12e}")
     print("sweep,exact,estimate,ratio")
     for row in rows:
         print(f"{row.sweep},{row.exact},{row.estimate:.12e},{row.ratio:.12g}")

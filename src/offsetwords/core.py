@@ -218,15 +218,32 @@ def _binomials(top: int, low: int, count: int) -> list:
 def _merge(a: _Row, b: _Row, orders) -> _Row:
     """Counts of the disjoint union of A and B at each order s in ``orders``,
     by the split-alphabet recurrence
-    w(s) = sum_i C(s+P, i+P_A) C(s+M, i+M_A) w_A(i) w_B(s-i)."""
+    w(s) = sum_i C(s+P, i+P_A) C(s+M, i+M_A) w_A(i) w_B(s-i).
+
+    A square (``a is b``, so P = 2 P_A and M = 2 M_A) has
+    C(s+P, i+P_A) = C(s+P, s-i+P_A), likewise for M: terms i and s-i are
+    equal, so the terms below s/2 are summed and doubled and the middle term
+    of an even s is added once.  When the plus and minus parts coincide
+    (P = M and P_A = M_A) the two binomial weights are one list.
+    """
     plus = a.plus + b.plus
     minus = a.minus + b.minus
     x, y = a.counts, b.counts
+    square = a is b
+    shared = plus == minus and a.plus == a.minus
     out = []
     for s in orders:
-        cp = _binomials(s + plus, a.plus, s + 1)
-        cm = _binomials(s + minus, a.minus, s + 1)
-        out.append(sum(cp[i] * cm[i] * x[i] * y[s - i] for i in range(s + 1)))
+        size = s // 2 + 1 if square else s + 1
+        cp = _binomials(s + plus, a.plus, size)
+        cm = cp if shared else _binomials(s + minus, a.minus, size)
+        if square:
+            h = (s + 1) // 2
+            total = 2 * sum(cp[i] * cm[i] * x[i] * x[s - i] for i in range(h))
+            if not s & 1:
+                total += cp[h] * cm[h] * x[h] * x[h]
+        else:
+            total = sum(cp[i] * cm[i] * x[i] * y[s - i] for i in range(s + 1))
+        out.append(total)
     return _Row(out, plus, minus)
 
 
@@ -237,7 +254,10 @@ def count_orders(orders: Sequence[int], xi) -> list:
     Letters with equal offset parts (xi_j^+, xi_j^-) have equal rows, so a
     group of k of them is the k-th power of one letter under the merge and is
     built by repeated squaring.  The top square of each group is left as two
-    factors, so the last merge computes only the orders asked for.
+    factors, so the last merge computes only the orders asked for.  Each
+    square sums half its terms, by the symmetry C(s+2p, i+p) = C(s+2p, s-i+p),
+    and a group whose plus and minus parts are equal shares one list of
+    binomial weights between them (see _merge).
     """
     orders = list(orders)
     if any(s < 0 for s in orders):

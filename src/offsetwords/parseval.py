@@ -78,14 +78,17 @@ def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) 
     """Same coefficients obtained by squaring the spectral-density expansion.
 
     Every integer row of the by-length table is squared and summed; surviving
-    exponents are even and are halved to land on the common index.
+    exponents are even and are halved to land on the common index.  Rows
+    repeat across exponents equal under permutation and negation, so each
+    distinct row is squared once and scaled by its multiplicity.
     ``budget.parseval_k_cap`` bounds k_max.
     """
     budget.check_parseval(k_max)
     acc = [0] * (2 * k_max + 1)
-    for row in spectral_rows(d, 1, 2 * k_max).values():
+    for row, mult in Counter(spectral_rows(d, 1, 2 * k_max).values()).items():
         for i, a in enumerate(row):
             if a:
+                a *= mult
                 for j in range(len(row) - i):
                     acc[i + j] += a * row[j]
     for k in range(1, 2 * k_max + 1, 2):

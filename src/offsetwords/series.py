@@ -239,7 +239,7 @@ def check_table_size(d: int, truncation: int) -> None:
 
 
 def spectral_rows(d: int, r: int, truncation: int) -> dict:
-    """{eta: [c_0, ..., c_truncation]} in plain ints: c_n is the x^n coefficient
+    """{eta: (c_0, ..., c_truncation)} in plain ints: c_n is the x^n coefficient
     of the spectral density of 1 - x(z_1^r+...+z_d^r) at z^eta.
 
     With S(z) = z_1 + ... + z_d the x^n layer is
@@ -276,7 +276,7 @@ def spectral_rows(d: int, r: int, truncation: int) -> dict:
         for _ in range(d):
             key, digit = divmod(key, base)
             eta.append(digit - reach)
-        unpacked[tuple(eta)] = row
+        unpacked[tuple(eta)] = tuple(row)
     return unpacked
 
 
@@ -288,10 +288,13 @@ def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     integers come from ``spectral_rows``.
     """
     rows = spectral_rows(d, r, truncation)
-    # one Fraction per distinct value: rows repeat across symmetric exponents
-    # and are mostly zero
-    fractions = {c: Fraction(c) for c in set(chain.from_iterable(rows.values()))}
-    entries = {eta: XSeries(tuple(map(fractions.__getitem__, row))) for eta, row in rows.items()}
+    # rows repeat across exponents equal under permutation and negation, and
+    # are mostly zero: one Fraction per distinct value, and one XSeries per
+    # distinct row, shared by every exponent that carries it (XSeries is frozen)
+    distinct = set(rows.values())
+    fractions = {c: Fraction(c) for c in set(chain.from_iterable(distinct))}
+    shared = {row: XSeries(tuple(map(fractions.__getitem__, row))) for row in distinct}
+    entries = {eta: shared[row] for eta, row in rows.items()}
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from offsetwords import asymptotics
 from offsetwords.asymptotics import (
     BellCoefficients,
     bell_B,
@@ -199,6 +200,23 @@ class TestRatioProbe:
         # the ratios GROW like sqrt(lambda), each step within 6% of sqrt(2):
         # the quarantined formula is not asserted, only documented
         suite_runs.check("asymptotics", "ray regime probe")
+
+    @pytest.mark.parametrize(
+        "regime, sweep, params",
+        [
+            ("laplace", [265], {"xi": (0, 0, 0, 0)}),
+            ("large_d", [10, 200], {"n": 30, "m": 2}),
+            ("stationary_phase", [8, 600], {"xi": (1, 1), "n": 0}),
+        ],
+    )
+    def test_overflowing_estimate_raises_before_any_count(self, monkeypatch, regime, sweep, params):
+        def no_count(*args):
+            raise AssertionError("exact count formed before every estimate")
+
+        monkeypatch.setattr(asymptotics, "count_orders", no_count)
+        monkeypatch.setattr(asymptotics, "count_offset_words", no_count)
+        with pytest.raises(OverflowError):
+            ratio_probe(regime, sweep, **params)
 
     def test_unknown_regime_and_budget(self):
         with pytest.raises(ValueError):

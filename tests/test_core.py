@@ -158,11 +158,16 @@ def test_constant_rows_match_bessel_route(d, m, n):
     assert count_row(n, (m,) * d) == [w_via_bessel(k, m, d) for k in range(n + 1)]
 
 
-def test_count_orders_reads_the_row_in_request_order():
-    xi = (2, -1, -1, 0)
-    row = count_row(9, xi)
-    assert count_orders([9, 0, 4, 9], xi) == [row[9], row[0], row[4], row[9]]
-    assert count_orders([], xi) == []
+@settings(max_examples=60, deadline=None)
+@given(xi=grouped_offsets(), orders=st.lists(st.integers(0, 25), max_size=6))
+def test_count_orders_reads_the_row_in_request_order(xi, orders):
+    # sparse, unsorted and repeated orders: the last merge, a square whenever
+    # a letter group tops the fold, sees only these orders, odd and even
+    row = count_row(max(orders, default=0), xi)
+    counts = count_orders(orders, xi)
+    assert counts == [row[s] for s in orders]
+    cap = RAW_ORDER_CAP[len(xi)]
+    assert [w for s, w in zip(orders, counts) if s <= cap] == [raw_count(s, xi) for s in orders if s <= cap]
     with pytest.raises(ValueError):
         count_orders([3, -1], xi)
     with pytest.raises(ValueError):
