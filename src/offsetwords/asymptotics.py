@@ -311,29 +311,35 @@ def ratio_probe(regime: str, sweep: Sequence[int], **params) -> list:
     output only; the ratios document the lambda-exponent discrepancy).
     large_d: sweep the alphabet size d at fixed order n and constant offset m.
 
-    Every budget guard runs and every estimate is formed before any exact
-    count, so a sweep whose float estimate overflows raises OverflowError
-    without counting.
+    Every estimate is formed first, then every budget guard runs, all before
+    any exact count: a sweep whose float estimate overflows raises
+    OverflowError("estimate at sweep=<v> overflows a float") without counting.
     """
     if regime == "laplace":
         xi = as_offset(params["xi"])
-        cases = [(n, xi) for n in sweep]
         estimate = partial(laplace_estimate, xi=xi)
+        case = lambda n: (n, xi)
     elif regime == "stationary_phase":
         xi = as_offset(params["xi"])
         n = params.get("n", 0)
-        cases = [(n, xi * lam) for lam in sweep]
         estimate = partial(stationary_phase_estimate, n, xi)
+        case = lambda lam: (n, xi * lam)
     elif regime == "large_d":
         n = params["n"]
         m = params.get("m", 0)
-        cases = [(n, OffsetVector((m,) * d)) for d in sweep]
         estimate = partial(large_d_estimate, n, m)
+        case = lambda d: (n, OffsetVector((m,) * d))
     else:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    estimates = []
+    for value in sweep:
+        try:
+            estimates.append(estimate(value))
+        except OverflowError:
+            raise OverflowError(f"estimate at sweep={value} overflows a float") from None
+    cases = [case(value) for value in sweep]
     for order, offset in cases:
         _probe_guard(order, offset)
-    estimates = [estimate(value) for value in sweep]
     if regime == "laplace":
         exacts = count_orders(sweep, xi)  # one fold serves the whole sweep
     else:

@@ -118,22 +118,31 @@ def _last_axis_count_mean(s, a: int, b: int, k: int):
     return poly * s ** (a - k - top) * conj_s ** (b - top)
 
 
-def integral_mean(n: int, xi, grid_size: int) -> complex:
-    """Grid mean of the count integrand (complex; imaginary part is noise).
+def _head_grid_mean(xi, r: int, grid_size: int, last_axis) -> complex:
+    """Mean over the d-torus of exp(-i xi.theta) f, f a function of the e^(i r theta_j).
 
-    The last axis is integrated exactly (_last_axis_count_mean), the other
-    d-1 on the grid of grid_size points per axis; the grid-point cap applies
-    to the nominal grid of grid_size^d points, checked before allocating.
+    last_axis(s, k) is the exact mean over the last angle of e^(-ik theta) f given
+    s = sum_(j<d) e^(i r theta_j) (the integer 0 when d = 1); the other d-1 angles
+    are gridded at grid_size points per axis, and the grid-point cap is checked on
+    the nominal grid_size^d grid before allocating.  The mean vanishes unless r | k.
     """
-    xi = as_offset(xi)
-    plus, minus = sign_split(xi)
     TorusGrid(xi.d, grid_size)  # refuses above the cap; allocates nothing
     *head, k = xi.components
-    a, b = n + sum(plus), n + sum(minus)
+    if k % r:
+        return 0j
     if not head:
-        return complex(_last_axis_count_mean(0j, a, b, k))
+        return complex(last_axis(0, k))
     grid = TorusGrid(len(head), grid_size)
-    return grid.mean_with_phase(_last_axis_count_mean(grid.phase_sum(r=1), a, b, k), head)
+    return grid.mean_with_phase(last_axis(grid.phase_sum(r=r), k), head)
+
+
+def integral_mean(n: int, xi, grid_size: int) -> complex:
+    """Grid mean of the count integrand (complex; imaginary part is noise),
+    with the last axis integrated exactly (_last_axis_count_mean)."""
+    xi = as_offset(xi)
+    plus, minus = sign_split(xi)
+    a, b = n + sum(plus), n + sum(minus)
+    return _head_grid_mean(xi, 1, grid_size, lambda s, k: _last_axis_count_mean(s, a, b, k))
 
 
 def integral_count(n: int, xi, grid_size: int | None = None) -> float:
@@ -188,22 +197,15 @@ def _last_axis_mean(a, x: float, k: int, r: int, power: int):
 
 def _density_mean(xi, x: float, r: int, grid_size: int, power: int = 1) -> complex:
     """Mean of exp(-i xi.theta) |1 - x sum_j e^(i r theta_j)|^(-2 power) over
-    the d-torus: the last axis is integrated exactly (_last_axis_mean), the
-    other d-1 on the grid of grid_size points per axis.
+    the d-torus, with the last axis integrated exactly (_last_axis_mean)."""
 
-    The grid-point cap applies to the nominal grid of grid_size^d points,
-    checked before the (d-1)-dimensional grid is allocated.
-    """
-    xi = as_offset(xi)
-    TorusGrid(xi.d, grid_size)  # refuses above the cap; allocates nothing
-    *head, k = xi.components
-    if k % r:
-        return 0j
-    if not head:
-        return complex(_last_axis_mean(1.0, x, k, r, power))
-    grid = TorusGrid(len(head), grid_size)
-    a = 1.0 - x * grid.phase_sum(r=r)
-    return grid.mean_with_phase(_last_axis_mean(a, x, k, r, power), head)
+    def last_axis(s, k):
+        # a = 1 - x s in place, without a second grid: s is the helper's own phase sum (or 0)
+        s *= -x
+        s += 1.0
+        return _last_axis_mean(s, x, k, r, power)
+
+    return _head_grid_mean(as_offset(xi), r, grid_size, last_axis)
 
 
 def _doubled_until_stable(evaluate, start: int) -> complex:

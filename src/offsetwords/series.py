@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .core import as_offset, count_row
@@ -27,48 +26,52 @@ from .errors import BudgetExceededError
 _TABLE_CELL_CAP = 10_000_000
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _exact(v):
+    """v itself if it is an int or a Fraction; anything else, floats included,
+    raises TypeError."""
+    if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     raise TypeError(f"expected exact coefficient, got {type(v).__name__}")
 
 
 @dataclass(frozen=True)
 class XSeries:
-    """A truncated power series in one variable with exact rational coefficients.
+    """A truncated power series in one variable with exact coefficients.
 
     ``coeffs[k]`` is the coefficient of x^k; the truncation order is
     len(coeffs) - 1.  Binary operations truncate to the smaller order.
+    Coefficients are kept as given: an int stays an int, so every series
+    built from counts holds ints, and a Fraction appears only where a
+    division makes one (``log``, ``exp``, ``eval_fraction``,
+    ``from_json_dict``, the Bessel/Bell route).
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 
     @staticmethod
     def from_list(values: Sequence, order: int | None = None) -> "XSeries":
-        coeffs = [_as_fraction(v) for v in values]
+        coeffs = list(values)
         if order is not None:
             if order + 1 < len(coeffs):
                 coeffs = coeffs[: order + 1]
             else:
-                coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+                coeffs += [0] * (order + 1 - len(coeffs))
         return XSeries(tuple(coeffs))
 
     @staticmethod
     def zero(order: int) -> "XSeries":
-        return XSeries((Fraction(0),) * (order + 1))
+        return XSeries((0,) * (order + 1))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         return self.coeffs[k]
 
     def is_zero(self) -> bool:
@@ -86,14 +89,13 @@ class XSeries:
         return XSeries(tuple(-c for c in self.coeffs))
 
     def scale(self, factor) -> "XSeries":
-        f = _as_fraction(factor)
-        return XSeries(tuple(f * c for c in self.coeffs))
+        return XSeries(tuple(factor * c for c in self.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, XSeries):
             return self.scale(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
                 continue
@@ -122,7 +124,7 @@ class XSeries:
         """Multiply by x^k, keeping the truncation order."""
         if k < 0:
             raise ValueError("negative shift")
-        coeffs = (Fraction(0),) * k + self.coeffs
+        coeffs = (0,) * k + self.coeffs
         return XSeries(coeffs[: self.order + 1])
 
     def log(self) -> "XSeries":
@@ -135,7 +137,7 @@ class XSeries:
             acc = k * self.coeffs[k]
             for j in range(1, k):
                 acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
+            out[k] = Fraction(acc, k)
         return XSeries(tuple(out))
 
     def exp(self) -> "XSeries":
@@ -143,17 +145,16 @@ class XSeries:
         if self.coeffs[0] != 0:
             raise ValueError("formal exp needs constant term 0")
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
+        out = [Fraction(1)] + [0] * n
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, k + 1):
                 acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
+            out[k] = Fraction(acc, k)
         return XSeries(tuple(out))
 
     def eval_fraction(self, x) -> Fraction:
-        x = _as_fraction(x)
+        x = _exact(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -285,15 +286,13 @@ def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
 
     The x^n coefficient at exponent eta sums multinomial(kappa)*multinomial(kappa')
     over pairs with |kappa| + |kappa'| = n and r*(kappa - kappa') = eta; the
-    integers come from ``spectral_rows``.
+    int rows come from ``spectral_rows`` and each entry holds them as ints.
+    Rows repeat across exponents equal under permutation and negation, so
+    each distinct row is wrapped once and the frozen XSeries is shared by
+    every exponent that carries it.
     """
     rows = spectral_rows(d, r, truncation)
-    # rows repeat across exponents equal under permutation and negation, and
-    # are mostly zero: one Fraction per distinct value, and one XSeries per
-    # distinct row, shared by every exponent that carries it (XSeries is frozen)
-    distinct = set(rows.values())
-    fractions = {c: Fraction(c) for c in set(chain.from_iterable(distinct))}
-    shared = {row: XSeries(tuple(map(fractions.__getitem__, row))) for row in distinct}
+    shared = {row: XSeries(row) for row in set(rows.values())}
     entries = {eta: shared[row] for eta, row in rows.items()}
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)
 
@@ -311,18 +310,18 @@ def fourier_coefficient_series(xi, d: int, r: int, truncation: int) -> XSeries:
     if not xi.divisible_by(r):
         return XSeries.zero(truncation)
     eta = xi.scale_down(r)
-    coeffs = [Fraction(0)] * (truncation + 1)
+    coeffs = [0] * (truncation + 1)
     norm = eta.one_norm
     if norm <= truncation:
         for n, w in enumerate(count_row((truncation - norm) // 2, eta)):
-            coeffs[2 * n + norm] = Fraction(w)
+            coeffs[2 * n + norm] = w
     return XSeries(tuple(coeffs))
 
 
 def ogf_w(xi, truncation: int) -> XSeries:
     """Order-indexed generating function: coefficient of x^n is the count of
     order-n words offset by xi."""
-    return XSeries(tuple(Fraction(w) for w in count_row(truncation, xi)))
+    return XSeries(tuple(count_row(truncation, xi)))
 
 
 def verify_determinantal(x, z: Sequence[complex], r: int, tol: float = 1e-12) -> bool:

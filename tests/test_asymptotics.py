@@ -207,6 +207,8 @@ class TestRatioProbe:
             ("laplace", [265], {"xi": (0, 0, 0, 0)}),
             ("large_d", [10, 200], {"n": 30, "m": 2}),
             ("stationary_phase", [8, 600], {"xi": (1, 1), "n": 0}),
+            # past the composition-term guard too: the estimate is formed first
+            ("laplace", [10_000], {"xi": (1, 0, -1, 0)}),
         ],
     )
     def test_overflowing_estimate_raises_before_any_count(self, monkeypatch, regime, sweep, params):
@@ -215,11 +217,11 @@ class TestRatioProbe:
 
         monkeypatch.setattr(asymptotics, "count_orders", no_count)
         monkeypatch.setattr(asymptotics, "count_offset_words", no_count)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=f"^estimate at sweep={sweep[-1]} overflows a float$"):
             ratio_probe(regime, sweep, **params)
 
     def test_unknown_regime_and_budget(self):
         with pytest.raises(ValueError):
             ratio_probe("bogus", [1])
         with pytest.raises(BudgetExceededError):
-            ratio_probe("laplace", [10_000], xi=(1, 0, -1, 0))
+            ratio_probe("laplace", [60], xi=(1, 0, -1, 0, 0, 0))

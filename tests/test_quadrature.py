@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offsetwords.core import count_offset_words
@@ -124,11 +124,14 @@ def density_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(density_cases(), st.sampled_from((1, 2)))
+@example(case=((1,), 0.9375, 2, 4096), power=2)  # exactly 0 against 2.5e-12 of rounding
 def test_density_mean_matches_full_grid(case, power):
     xi, x, r, grid_size = case
     got = _density_mean(xi, x, r, grid_size, power=power)
     want = full_grid_mean(xi, x, r, grid_size, power)
-    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    # the reference sums grid values up to the density's peak (1 - d|x|)^(-2 power)
+    peak = (1 - len(xi) * abs(x)) ** (-2 * power)
+    assert abs(got - want) <= 1e-12 * max(abs(want), peak)
 
 
 @pytest.mark.parametrize("x", (0.0, 0.3, -0.5, 0.9, -0.99))

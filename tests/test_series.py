@@ -8,7 +8,8 @@ import pytest
 from offsetwords import series
 from offsetwords.core import OffsetVector, count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
-from offsetwords.parseval import offsets_with_norm_at_most
+from offsetwords.asymptotics import normalized_bessel_series
+from offsetwords.parseval import offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
 from offsetwords.errors import BudgetExceededError
 from offsetwords.series import (
     LaurentTable,
@@ -156,12 +157,9 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
     assert len(spectral_rows(2, 1, 9)) == lattice_points(2, 9)
 
 
-def test_extraction_consistency():
-    for d in (1, 2, 3):
-        table = spectral_series(d, 1, 7)
-        for xi in offsets_with_norm_at_most(d, 3):
-            expected = fourier_coefficient_series(xi, d, 1, 7)
-            assert table.entry(xi).coeffs == expected.coeffs, (d, xi)
+def test_extraction_consistency(suite_runs):
+    # d <= 3, |xi| <= 3, T = 8: the series suite's row
+    suite_runs.check("series", "table entries match count-built series")
 
 
 def test_support_parity_and_norm_bound():
@@ -174,12 +172,9 @@ def test_support_parity_and_norm_bound():
                 assert k >= norm and (k - norm) % 2 == 0
 
 
-def test_mass_check():
-    for d in (1, 2, 3):
-        table = spectral_series(d, 1, 6)
-        for k in range(7):
-            total = sum(series[k] for series in table.entries.values())
-            assert total == (k + 1) * d**k
+def test_mass_check(suite_runs):
+    # d <= 3, T = 8: the series suite's row
+    suite_runs.check("series", "mass: coefficients at x^k")
 
 
 def test_r_divisibility_of_series(suite_runs):
@@ -204,6 +199,32 @@ def test_table_json_schema_and_determinism():
     assert table.to_json() == spectral_series(2, 1, 3).to_json()
     rebuilt = XSeries.from_json_dict(data["entries"][0]["series"])
     assert rebuilt.coeffs == table.entries[exps[0]].coeffs
+
+
+def test_counts_stay_int_and_divisions_give_fraction():
+    def kinds(s):
+        return {type(c) for c in s.coeffs}
+
+    assert kinds(ogf_w((1, 0), 6)) == {int}
+    assert kinds(fourier_coefficient_series((1, 0), 2, 1, 6)) == {int}
+    assert kinds(fourier_coefficient_series((1, 0), 2, 2, 6)) == {int}
+    assert kinds(parseval_lhs(2, 4)) == kinds(parseval_rhs_series(2, 4)) == {int}
+    for d, r, truncation in ((1, 1, 9), (2, 2, 6), (3, 1, 5)):
+        table = spectral_series(d, r, truncation)
+        assert set().union(*map(kinds, table.entries.values())) == {int}
+        entries = {
+            tuple(e["exp"]): XSeries.from_json_dict(e["series"])
+            for e in json.loads(table.to_json())["entries"]
+        }
+        assert LaurentTable(d, r, truncation, entries) == table
+    geom = XSeries.from_list([1] * 6)
+    assert kinds(geom) == {int}
+    assert kinds(geom.log()) == kinds(geom.log().exp()) == {Fraction}
+    assert kinds(normalized_bessel_series(1, 5)) == {Fraction}
+    with pytest.raises(TypeError):
+        geom.scale(0.5)
+    with pytest.raises(TypeError):
+        geom.eval_fraction(0.5)
 
 
 def test_table_entry_dimension_mismatch():
