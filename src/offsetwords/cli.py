@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .asymptotics import ratio_probe
 from .config import Budget, load_settings
-from .core import as_offset, count_offset_words, count_orders
+from .core import as_offset, count_orders
 from .errors import BudgetExceededError
 from .oracle import oracle_count, oracle_words
 from .parseval import pair_roster, parseval_lhs, parseval_numeric_check, parseval_rhs_series
@@ -90,7 +90,7 @@ def _cmd_spectral_table(args, budget: Budget) -> int:
 
 def _cmd_quad(args, budget: Budget) -> int:
     approx = integral_count(args.n, args.xi, args.grid)
-    exact = count_offset_words(args.n, args.xi)
+    exact = count_orders((args.n,), args.xi)[0]
     abs_err = abs(approx - exact)
     print(
         _dump(

@@ -265,6 +265,8 @@ def count_orders(orders: Sequence[int], xi) -> list:
     if not orders:
         return []
     plus, minus = sign_split(xi)
+    if len(plus) == 1:  # d = 1: the only word of each order is one letter repeated
+        return [1] * len(orders)
     top = max(orders)
     full = range(top + 1)
     factors = []
@@ -279,8 +281,6 @@ def count_orders(orders: Sequence[int], xi) -> list:
             else:
                 factors.append(base)
         factors.append(base)
-    if len(factors) == 1:  # d = 1
-        return [1] * len(orders)
     row = factors[0]
     for factor in factors[1:-1]:
         row = _merge(row, factor, full)
@@ -299,7 +299,9 @@ def count_offset_words(n: int, xi) -> BigCount:
     compositions nu of n of multinomial(nu + xi^+) * multinomial(nu + xi^-).
 
     Constant offsets m*1_d take the grouped-letter fold of count_orders;
-    other offsets sum the compositions.
+    other offsets sum the compositions, a route independent of the fold: the
+    verify suites hold the fold-based routes (recurrence_count among them)
+    to it.
     """
     if n < 0:
         raise ValueError("order n must be nonnegative")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BigCount, OffsetVector, as_offset, count_offset_words, sign_split
+from .core import BigCount, OffsetVector, as_offset, count_offset_words, count_row, sign_split
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,11 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
 
     Sums over j (the number of S-characters in the first half beyond the
     forced xi^+ occurrences) the product of two binomials choosing the
-    positions and the two sub-alphabet counts.  Agrees with
-    count_offset_words, which also gives the sub-counts: the composition sum
-    at non-constant sub-offsets and the grouped-letter fold of count_orders
-    at constant ones (every one-letter sub-alphabet among them).  This is an
-    identity check rather than a shortcut.
+    positions and the two sub-alphabet counts.  The sub-counts are read from
+    one grouped-letter fold per side (count_row of xi_S and of xi_T), so a
+    call costs two folds rather than 2(n+1) point counts.  The identity is
+    checked against count_offset_words, whose composition sum at a
+    non-constant xi is a route independent of the fold.
     """
     if not isinstance(split, AlphabetSplit):
         split = AlphabetSplit(tuple(split))
@@ -76,15 +76,11 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
     minus_s = sum(minus[i] for i in s_idx)
     top_plus = n + sum(plus)
     top_minus = n + sum(minus)
-    total = 0
-    for j in range(n + 1):
-        total += (
-            math.comb(top_plus, j + plus_s)
-            * math.comb(top_minus, j + minus_s)
-            * count_offset_words(j, xi_s)
-            * count_offset_words(n - j, xi_t)
-        )
-    return total
+    left, right = count_row(n, xi_s), count_row(n, xi_t)
+    return sum(
+        math.comb(top_plus, j + plus_s) * math.comb(top_minus, j + minus_s) * left[j] * right[n - j]
+        for j in range(n + 1)
+    )
 
 
 def divisibility_modulus(xi) -> int:

@@ -42,8 +42,9 @@ class XSeries:
     len(coeffs) - 1.  Binary operations truncate to the smaller order.
     Coefficients are kept as given: an int stays an int, so every series
     built from counts holds ints, and a Fraction appears only where a
-    division makes one (``log``, ``exp``, ``eval_fraction``,
-    ``from_json_dict``, the Bessel/Bell route).
+    division makes one (``log``, ``exp``, ``eval_fraction``, the
+    Bessel/Bell route).  ``from_json_dict`` reads a coefficient with
+    denominator 1 back as an int.
     """
 
     coeffs: tuple
@@ -174,7 +175,9 @@ class XSeries:
 
     @staticmethod
     def from_json_dict(data: dict) -> "XSeries":
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+        coeffs = [
+            int(num) if int(den) == 1 else Fraction(int(num), int(den)) for num, den in data["coeffs"]
+        ]
         return XSeries.from_list(coeffs, order=data["truncation"])
 
     def to_json(self) -> str:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetwords import asymptotics
 from offsetwords.asymptotics import (
@@ -20,9 +22,12 @@ from offsetwords.asymptotics import (
     w_via_bessel,
 )
 from offsetwords.core import count_offset_words, multinomial
-from offsetwords.errors import BudgetExceededError
 
 F = Fraction
+
+# count_offset_words(60, (1, 0, -1, 0, 0, 0)): the composition sum over its
+# 8.3M terms, computed once (about a minute) and pinned
+W_60_PINNED = 1076450290569327300912655122210594831390490290790247050432356827134459550640827641017658896
 
 
 class TestLaplace:
@@ -207,7 +212,6 @@ class TestRatioProbe:
             ("laplace", [265], {"xi": (0, 0, 0, 0)}),
             ("large_d", [10, 200], {"n": 30, "m": 2}),
             ("stationary_phase", [8, 600], {"xi": (1, 1), "n": 0}),
-            # past the composition-term guard too: the estimate is formed first
             ("laplace", [10_000], {"xi": (1, 0, -1, 0)}),
         ],
     )
@@ -216,12 +220,35 @@ class TestRatioProbe:
             raise AssertionError("exact count formed before every estimate")
 
         monkeypatch.setattr(asymptotics, "count_orders", no_count)
-        monkeypatch.setattr(asymptotics, "count_offset_words", no_count)
         with pytest.raises(OverflowError, match=f"^estimate at sweep={sweep[-1]} overflows a float$"):
             ratio_probe(regime, sweep, **params)
 
-    def test_unknown_regime_and_budget(self):
+    def test_unknown_regime_and_large_fold(self):
         with pytest.raises(ValueError):
             ratio_probe("bogus", [1])
-        with pytest.raises(BudgetExceededError):
-            ratio_probe("laplace", [60], xi=(1, 0, -1, 0, 0, 0))
+        # 8.3M composition terms; the fold answers in milliseconds with the
+        # composition sum's pinned value
+        (row,) = ratio_probe("laplace", [60], xi=(1, 0, -1, 0, 0, 0))
+        assert row.exact == W_60_PINNED
+
+    def test_single_letter_probe_is_free(self):
+        (row,) = ratio_probe("laplace", [10**12], xi=(0,))
+        assert (row.exact, row.estimate, row.ratio) == (1, 1.0, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        xi=st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any),
+        n=st.integers(0, 4),
+        lam=st.integers(1, 4),
+    )
+    def test_stationary_phase_rows_match_composition_sum(self, xi, n, lam):
+        (row,) = ratio_probe("stationary_phase", [lam], xi=xi, n=n)
+        assert row.exact == count_offset_words(n, tuple(lam * c for c in xi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), n=st.integers(0, 8), m=st.integers(-2, 2))
+    def test_large_d_rows_match_bessel_route(self, d, n, m):
+        # count_offset_words folds at a constant offset too, so the
+        # independent route here is the Bessel power series
+        (row,) = ratio_probe("large_d", [d], n=n, m=m)
+        assert row.exact == w_via_bessel(n, m, d)

@@ -103,6 +103,11 @@ def test_count_is_one_for_single_letter_alphabet():
     for n in range(8):
         for xi in (-4, -1, 0, 2, 7):
             assert count_offset_words(n, (xi,)) == 1
+    # d = 1 returns before any row is built, so a huge order costs nothing
+    assert count_orders((10**12,), (5,)) == [1]
+    assert count_orders((10**12, 0, 3), (-2,)) == [1, 1, 1]
+    with pytest.raises(ValueError):
+        count_orders((-1,), (5,))
 
 
 def raw_count(n, xi):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetwords.core import count_offset_words, multinomial, sign_split
 from offsetwords.recurrence import (
@@ -33,6 +35,27 @@ def test_recurrence_split_validation():
 def test_recurrence_matches_direct_count_sampled(suite_runs):
     # every split at d in 2..4, n <= 6, |xi| <= 4: the recurrence suite's row
     suite_runs.check("recurrence", "for every split")
+
+
+@st.composite
+def split_cases(draw):
+    """(n, xi, split) with d <= 5, n <= 12 and ||xi||_1 <= 4."""
+    d = draw(st.integers(2, 5))
+    xi = [0] * d
+    for _ in range(draw(st.integers(0, 4))):
+        xi[draw(st.integers(0, d - 1))] += draw(st.sampled_from((-1, 1)))
+    mask = draw(st.integers(1, 2**d - 2))
+    split = tuple(j + 1 for j in range(d) if mask >> j & 1)
+    return draw(st.integers(0, 12)), tuple(xi), split
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_recurrence_matches_composition_sum_beyond_suite_range(case):
+    # the suite stops at n <= 6; the fold-row recurrence against the
+    # composition sum (the fold itself at constant xi)
+    n, xi, split = case
+    assert recurrence_count(n, xi, split) == count_offset_words(n, xi)
 
 
 def test_divisibility_modulus():

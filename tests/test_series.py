@@ -217,9 +217,13 @@ def test_counts_stay_int_and_divisions_give_fraction():
             for e in json.loads(table.to_json())["entries"]
         }
         assert LaurentTable(d, r, truncation, entries) == table
+        assert set().union(*map(kinds, entries.values())) == {int}  # the round trip keeps ints
     geom = XSeries.from_list([1] * 6)
     assert kinds(geom) == {int}
     assert kinds(geom.log()) == kinds(geom.log().exp()) == {Fraction}
+    # read back, a denominator of 1 gives an int and any other a Fraction
+    log_back = XSeries.from_json_dict(geom.log().to_json_dict())
+    assert log_back == geom.log() and [type(c) for c in log_back.coeffs[:3]] == [int, int, Fraction]
     assert kinds(normalized_bessel_series(1, 5)) == {Fraction}
     with pytest.raises(TypeError):
         geom.scale(0.5)
