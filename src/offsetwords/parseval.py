@@ -116,26 +116,19 @@ def parseval_numeric_check(d: int, x: float, grid_size: int | None = None, k_max
     coefficients of parseval_lhs read from _square_pair_counts; the returned
     tail bound dominates the dropped terms: the x^k coefficient is at
     most (2k+1)(k+1) d^(2k) (pairs of strings times shared labels), so the
-    tail is bounded by the elementary series sum_{k>k_max} (2k+1)(k+1)(d^2 x)^k.
+    tail is at most sum_{k>k_max} (2k+1)(k+1)(d^2 x)^k, returned in closed form.
     rhs is the grid quadrature of the squared density at sqrt(x).
     """
     if not 0.0 <= x < 1.0 / d**2:
         raise ValueError(f"x = {x} outside [0, 1/d^2) for d = {d}")
     DEFAULT_BUDGET.check_parseval(k_max)
     lhs = XSeries(_square_pair_counts(d, k_max)).eval_float(x)
-    q = d * d * x
-    tail = 0.0
-    k = k_max + 1
-    while True:
-        term = (2 * k + 1) * (k + 1) * q**k
-        # term ratios decrease toward q < 1, so once below 1 the rest of the
-        # tail is dominated by a geometric series
-        ratio = q * (2 * k + 3) * (k + 2) / ((2 * k + 1) * (k + 1))
-        if ratio < 1.0 and term / (1.0 - ratio) < 1e-16 * max(lhs, 1.0):
-            tail += term / (1.0 - ratio)
-            break
-        tail += term
-        k += 1
+    # With k = K+1+j, K = k_max: (2k+1)(k+1) = (2K+3)(K+2) + (4K+7) j + 2 j^2,
+    # and sum_j q^j, j q^j, j^2 q^j are 1/(1-q), q/(1-q)^2, q(1+q)/(1-q)^3.
+    q, K = d * d * x, k_max
+    tail = q ** (K + 1) * (
+        2 * q * (1 + q) / (1 - q) ** 3 + (4 * K + 7) * q / (1 - q) ** 2 + (2 * K + 3) * (K + 2) / (1 - q)
+    )
     rhs = density_square_mean(d, math.sqrt(x), grid_size=grid_size)
     return ParsevalCheck(lhs=lhs, rhs=rhs, tail_bound=tail)
 
@@ -149,7 +142,10 @@ def pair_roster(d: int, total_length: int) -> list:
     if total_length < 0 or total_length % 2:
         raise ValueError("combined length must be even and nonnegative")
     if d**total_length > 100_000:
-        raise BudgetExceededError("roster requested above listing budget")
+        raise BudgetExceededError(
+            f"roster at d = {d}, length {total_length} needs d^length = {d**total_length} words, "
+            "above the fixed limit of 100000"
+        )
     labelled = {length: list(_labelled_words(d, length)) for length in range(total_length + 1)}
     roster = []
     for left_len in range(total_length + 1):

@@ -6,8 +6,9 @@ That integrand is a trigonometric polynomial, so a uniform grid with more
 points per axis than twice its degree integrates it exactly up to rounding;
 the grid threshold below turns the quadrature into an exact method.  The
 spectral density itself is analytic near the torus, so for the non-polynomial
-integrands the same grids converge geometrically and are validated by
-doubling (M against 2M).
+integrands the same grids converge geometrically, and one routine
+(_density_coefficient) checks r and stability for both density entry points
+and doubles their grid (M against 2M) until two means agree.
 
 Both kinds of mean are iterated integrals with one axis exact, so only the
 first d-1 axes are gridded.  For the count, with s = sum_(j<d) e^(i theta_j),
@@ -208,45 +209,40 @@ def _density_mean(xi, x: float, r: int, grid_size: int, power: int = 1) -> compl
     return _head_grid_mean(as_offset(xi), r, grid_size, last_axis)
 
 
-def _doubled_until_stable(evaluate, start: int) -> complex:
-    """Double the grid until two successive grid means agree within _DOUBLING_TOL.
+def _density_coefficient(xi, x: float, r: int, grid_size: int | None, power: int) -> complex:
+    """xi-th Fourier coefficient of |1 - x sum_j e^(i r theta_j)|^(-2 power) by grid quadrature.
 
-    The integrands here are analytic on a neighborhood of the torus, so the
-    means converge geometrically and the doubling test is a reliable stop; the
-    grid-point budget bounds the escalation (near the stability boundary the
-    convergence rate degrades and the budget may refuse).
+    On the given grid, or else from 64 points per axis, doubled until two
+    successive grid means agree within _DOUBLING_TOL.  The integrand is
+    analytic on a neighborhood of the torus, so the means converge
+    geometrically and the doubling test is a reliable stop; the grid-point cap
+    bounds the escalation (near the stability boundary the convergence rate
+    degrades and the cap may refuse).
     """
-    coarse = evaluate(start)
-    size = start
+    xi = as_offset(xi)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
+    if abs(x) >= 1.0 / xi.d:
+        raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{xi.d}")
+    if grid_size is not None:
+        return _density_mean(xi, x, r, grid_size, power)
+    size = 64
+    coarse = _density_mean(xi, x, r, size, power)
     while True:
-        fine = evaluate(2 * size)
+        size *= 2
+        fine = _density_mean(xi, x, r, size, power)
         if abs(fine - coarse) <= _DOUBLING_TOL:
             return fine
-        size *= 2
         coarse = fine
 
 
 def fourier_coefficient_numeric(xi, x: float, r: int = 1, grid_size: int | None = None) -> complex:
-    """Grid quadrature of the xi-th Fourier coefficient of the spectral density.
-
-    With no explicit grid size, starts at 64 points per axis and doubles until
-    successive grids agree within _DOUBLING_TOL.
-    """
-    xi = as_offset(xi)
-    if abs(x) >= 1.0 / xi.d:
-        raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{xi.d}")
-    if grid_size is not None:
-        return _density_mean(xi, x, r, grid_size)
-    return _doubled_until_stable(lambda m: _density_mean(xi, x, r, m), 64)
+    """Grid quadrature of the xi-th Fourier coefficient of the spectral density
+    (_density_coefficient: the given grid, or doubling from 64 points per axis)."""
+    return _density_coefficient(xi, x, r, grid_size, 1)
 
 
 def density_square_mean(d: int, sqrt_x: float, grid_size: int | None = None) -> float:
     """Grid mean of the squared spectral density at parameter sqrt_x (used by
     the Parseval check)."""
-    zero = (0,) * d
-    if abs(sqrt_x) >= 1.0 / d:
-        raise StabilityError(f"sqrt(x) = {sqrt_x} outside the stability region")
-    if grid_size is not None:
-        return float(_density_mean(zero, sqrt_x, 1, grid_size, power=2).real)
-    value = _doubled_until_stable(lambda m: _density_mean(zero, sqrt_x, 1, m, power=2), 64)
-    return float(value.real)
+    return float(_density_coefficient((0,) * d, sqrt_x, 1, grid_size, 2).real)

@@ -242,6 +242,12 @@ def check_table_size(d: int, truncation: int) -> None:
         )
 
 
+def _check_expansion_args(d: int, r: int, truncation: int) -> None:
+    """Refuse a dimension, power-sum exponent or truncation no expansion takes."""
+    if d < 1 or r < 1 or truncation < 0:
+        raise ValueError("need d >= 1, r >= 1, truncation >= 0")
+
+
 def spectral_rows(d: int, r: int, truncation: int) -> dict:
     """{eta: (c_0, ..., c_truncation)} in plain ints: c_n is the x^n coefficient
     of the spectral density of 1 - x(z_1^r+...+z_d^r) at z^eta.
@@ -253,8 +259,7 @@ def spectral_rows(d: int, r: int, truncation: int) -> dict:
     r*(kappa - kappa') = eta.  It is built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.
     Tables above the cell cap of ``check_table_size`` are refused up front.
     """
-    if d < 1 or r < 1 or truncation < 0:
-        raise ValueError("need d >= 1, r >= 1, truncation >= 0")
+    _check_expansion_args(d, r, truncation)
     check_table_size(d, truncation)
     # Kronecker substitution: eta is packed as the int sum_j (eta_j + reach) base^j,
     # which is unique since |eta_j| <= reach, and z_j^(+-r) adds +-r base^j.
@@ -310,6 +315,7 @@ def fourier_coefficient_series(xi, d: int, r: int, truncation: int) -> XSeries:
     xi = as_offset(xi)
     if xi.d != d:
         raise ValueError(f"xi has dimension {xi.d}, expected {d}")
+    _check_expansion_args(d, r, truncation)
     if not xi.divisible_by(r):
         return XSeries.zero(truncation)
     eta = xi.scale_down(r)

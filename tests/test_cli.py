@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import offsetwords
@@ -320,8 +320,14 @@ _malformed_line = st.one_of(
             lambda n: ("order", ["asympt", "--regime", "laplace", "--xi", "0,0", "--sweep", str(n)], None)
         ),
         _malformed_line.map(lambda line: (None, ["count", "--n", "1", "--xi", "0,0"], line)),
+        # well-formed but out of range: the power-sum exponent needs r >= 1
+        st.tuples(st.integers(-3, 0), st.sampled_from(([], ["--ogf"]))).map(
+            lambda c: ("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", str(c[0]), *c[1]], None)
+        ),
     )
 )
+@example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0"], None))
+@example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0", "--ogf"], None))
 def test_malformed_input_exits_2_with_a_message(case):
     fragment, argv, config_line = case
     with tempfile.TemporaryDirectory() as tmp:

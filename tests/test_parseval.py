@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -91,6 +92,10 @@ def test_cap_refusal():
     with pytest.raises(BudgetExceededError, match="OFFSETWORDS_PARSEVAL_K_CAP"):
         parseval_rhs_series(2, 15, budget=raised)
     assert parseval_lhs(2, 13, budget=raised).coeffs == parseval_rhs_series(2, 13, budget=raised).coeffs
+    # the roster's limit is fixed, and its refusal names d^length and the limit
+    message = r"d = 2, length 18 needs d\^length = 262144 words, above the fixed limit of 100000"
+    with pytest.raises(BudgetExceededError, match=message):
+        pair_roster(2, 18)
 
 
 def test_numeric_check():
@@ -119,6 +124,19 @@ def test_numeric_check_refusals():
     for d, x in ((2, 0.25), (2, -0.01), (3, 0.2)):
         with pytest.raises(ValueError, match=re.escape(f"x = {x} outside [0, 1/d^2) for d = {d}")):
             parseval_numeric_check(d, x, k_max=13)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("k_max", (0, 6, 10, 12))
+@pytest.mark.parametrize("scale", (0.0, 0.05, 0.5, 0.95))
+def test_numeric_check_tail_is_the_closed_form_sum(d, k_max, scale):
+    # the tail bound is sum_{k>K} (2k+1)(k+1) q^k, q = d^2 x <= 0.95; the terms
+    # past k = K+4000 add less than 1e-80.  The grid size does not enter the tail.
+    x = scale / d**2
+    q = d * d * x
+    want = math.fsum((2 * k + 1) * (k + 1) * q**k for k in range(k_max + 1, k_max + 4001))
+    tail = parseval_numeric_check(d, x, grid_size=16, k_max=k_max).tail_bound
+    assert tail == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_pair_roster_multiplicities():

@@ -17,7 +17,6 @@ from offsetwords.quadrature import (
     quadrature_threshold,
     spectral_density_eval,
 )
-from offsetwords.series import fourier_coefficient_series
 
 
 def test_integral_count_examples():
@@ -66,17 +65,19 @@ def test_fourier_numeric_examples():
         assert abs(fourier_coefficient_numeric(xi, 0.15 if len(xi) == 2 else 0.1, r=r)) < 1e-9
     with pytest.raises(StabilityError):
         fourier_coefficient_numeric((0, 0), 0.5)
+    # r < 1 is refused before any grid is built, on both routes through the grid
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            fourier_coefficient_numeric((1, 0), 0.1, r=r)
+        with pytest.raises(ValueError, match="need r >= 1"):
+            fourier_coefficient_numeric((1, 0), 0.1, r=r, grid_size=64)
 
 
-def test_fourier_numeric_matches_series_partial_sum():
-    # abelian-square counts give 1 + 3 x^2 + 15 x^4 + ... ; evaluate at x = 0.1
-    xi = (0, 0, 0)
-    trunc = 14
-    partial = fourier_coefficient_series(xi, 3, 1, trunc).eval_float(0.1)
-    numeric = fourier_coefficient_numeric(xi, 0.1)
-    q = (3 * 0.1) ** 2
-    tail = q ** (trunc // 2 + 1) / (1 - q)
-    assert abs(numeric - partial) <= tail + 1e-8
+def test_fourier_numeric_matches_series_partial_sum(suite_runs):
+    # the tail-bounded comparison at d = 3, xi = 0, x = 0.1, truncation 14 is a
+    # quadrature suite row; abelian-square counts give 1 + 3 x^2 + 15 x^4 + ...
+    suite_runs.check("quadrature", "density coefficients match series partial sums")
+    numeric = fourier_coefficient_numeric((0, 0, 0), 0.1)
     assert abs(numeric.real - 1.0315998934) < 1e-9
     assert abs(numeric.imag) < 1e-12
 
@@ -94,6 +95,9 @@ def test_grid_budget():
         TorusGrid(4, 600)
     with pytest.raises(StabilityError):
         density_square_mean(2, 0.6)
+    # r is checked before stability, so an unstable x with r = 0 names r
+    with pytest.raises(ValueError, match="need r >= 1"):
+        fourier_coefficient_numeric((0, 0), 0.6, r=0)
 
 
 def full_grid_mean(xi, x, r, grid_size, power):
