@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 budget refusal.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 budget refusal, 141 closed pipe.
 JSON output is deterministic (sorted keys, compact separators, big integers
 as decimal strings).
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -268,7 +269,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, budget)
+        code = args.func(args, budget)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # exit as SIGPIPE would; devnull keeps the exit-time flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 3

@@ -3,17 +3,16 @@
 Summing the squared by-length generating functions over every offset xi gives
 the generating function, by half total length, for ordered pairs of words
 sharing an offset class.  A pair at orders (n1, n2) with offset xi lands at
-x^(n1 + n2 + ||xi||_1), i.e. total string length twice the x-power; the
-half-power substitution that motivates this is pure exponent bookkeeping, so
-no fractional powers ever appear.  Four independent computations meet here:
-the direct double sum over counts, squaring the spectral-density expansion,
-brute-force pair enumeration (oracle module), and abelian squares with two
-cuts.  A pair of offset-xi words u = u1 u2, v = v1 v2 of total length 2k has
-rho(u1) - rho(u2) = xi = rho(v1) - rho(v2), so A = u1 v2 and B = v1 u2 have
-equal Parikh vectors and length k each: AB is an abelian square.  Conversely
-an abelian square AB with a cut in A and a cut in B gives back u1, v2, v1, u2
-and the shared offset.  The x^k coefficient is therefore (k+1)^2 w(k, 0_d),
-and the numeric check reads it from one constant-offset row.
+x^(n1 + n2 + ||xi||_1), i.e. total string length twice the x-power, so no
+fractional powers ever appear.  Four independent routes meet here: the direct
+double sum over counts; the squared spectral expansion, whose x^m coefficient
+is sum_(i+j=m) <Q_i, Q_j> over layers of the spectral walk, so it builds no
+table and never calls the counting kernel; brute-force pair enumeration
+(oracle module); and abelian squares with two cuts.  Offset-xi words
+u = u1 u2, v = v1 v2 of total length 2k have rho(u1) - rho(u2) = xi =
+rho(v1) - rho(v2), so (u1 v2)(v1 u2) is an abelian square of length 2k, and a
+cut in each half gives back u1, v2, v1, u2 and the shared offset.  The x^k
+coefficient is therefore (k+1)^2 w(k, 0_d), read from one constant-offset row.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .core import count_row, weak_compositions
 from .errors import BudgetExceededError
 from .oracle import _labelled_words
 from .quadrature import density_square_mean
-from .series import XSeries, check_table_size, spectral_rows
+from .series import XSeries, _layers, check_table_size
 
 
 def offsets_with_norm_at_most(d: int, bound: int) -> Iterator[tuple]:
@@ -57,8 +56,8 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
     xi with multiplicity.  Counts are invariant under coordinate permutation
     and global negation, so the pair sum runs once per class (_canonical) and
     is scaled by the class size.  ``budget.parseval_k_cap`` bounds k_max, and
-    the cell cap of the length-2k spectral table that parseval_rhs_series
-    builds is checked before the walk starts.
+    the cell cap of the length-2k walk that parseval_rhs_series makes is
+    checked before anything is counted.
     """
     budget.check_parseval(k_max)
     check_table_size(d, 2 * k_max)
@@ -77,21 +76,20 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
 def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Same coefficients obtained by squaring the spectral-density expansion.
 
-    Every integer row of the by-length table is squared and summed; surviving
-    exponents are even and are halved to land on the common index.  Rows
-    repeat across exponents equal under permutation and negation, so each
-    distinct row is squared once and scaled by its multiplicity.
-    ``budget.parseval_k_cap`` bounds k_max.
+    The x^m coefficient of sum_eta row_eta(x)^2 is sum_(i+j=m) <Q_i, Q_j>,
+    with Q_n the x^n layer of the length-2k_max walk (``series._layers``), so
+    the layers are kept and multiplied pairwise; pairs i < j are summed once
+    and doubled.  Surviving exponents are even and are halved to land on the
+    common index.  ``budget.parseval_k_cap`` bounds k_max.
     """
     budget.check_parseval(k_max)
-    acc = [0] * (2 * k_max + 1)
-    for row, mult in Counter(spectral_rows(d, 1, 2 * k_max).values()).items():
-        for i, a in enumerate(row):
-            if a:
-                a *= mult
-                for j in range(len(row) - i):
-                    acc[i + j] += a * row[j]
-    for k in range(1, 2 * k_max + 1, 2):
+    layers = list(_layers(d, 1, 2 * k_max))
+    acc = [0] * len(layers)
+    for i, small in enumerate(layers[: k_max + 1]):
+        for j, big in enumerate(layers[i : len(layers) - i], i):
+            dot = sum(c * big[key] for key, c in small.items() if key in big)
+            acc[i + j] += dot if i == j else 2 * dot
+    for k in range(1, len(acc), 2):
         if acc[k] != 0:
             raise ArithmeticError(f"odd-length coefficient {k} should vanish, got {acc[k]}")
     return XSeries(tuple(acc[2 * k] for k in range(k_max + 1)))

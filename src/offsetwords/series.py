@@ -248,58 +248,50 @@ def _check_expansion_args(d: int, r: int, truncation: int) -> None:
         raise ValueError("need d >= 1, r >= 1, truncation >= 0")
 
 
-def spectral_rows(d: int, r: int, truncation: int) -> dict:
-    """{eta: (c_0, ..., c_truncation)} in plain ints: c_n is the x^n coefficient
-    of the spectral density of 1 - x(z_1^r+...+z_d^r) at z^eta.
+def _layers(d: int, r: int, truncation: int):
+    """Yield the x^n layers Q_0, ..., Q_truncation of the spectral density of
+    1 - x(z_1^r+...+z_d^r) one at a time, each as {packed eta: int}.
 
-    With S(z) = z_1 + ... + z_d the x^n layer is
-    Q_n = sum_k S(z^r)^k S(z^-r)^(n-k), the Cauchy product of the geometric
-    series 1/(1 - x S(z^r)) and 1/(1 - x S(z^-r)), i.e. the MacMahon pair sum
-    of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n with
-    r*(kappa - kappa') = eta.  It is built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.
-    Tables above the cell cap of ``check_table_size`` are refused up front.
+    Q_n = sum_k S(z^r)^k S(z^-r)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
+    pair sum of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n
+    with r*(kappa - kappa') = eta, built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.  eta
+    is packed as sum_j (eta_j + reach) base^j, unique since |eta_j| <= reach =
+    r*truncation and base = 2 reach + 1.  Refuses up front a table above the
+    cell cap of ``check_table_size``.
     """
     _check_expansion_args(d, r, truncation)
     check_table_size(d, truncation)
-    # Kronecker substitution: eta is packed as the int sum_j (eta_j + reach) base^j,
-    # which is unique since |eta_j| <= reach, and z_j^(+-r) adds +-r base^j.
     reach = r * truncation
     base = 2 * reach + 1
-    up = [r * base**j for j in range(d)]
+    up = [r * base**j for j in range(d)]  # z_j^(+-r) adds +-r base^j
     down = [-step for step in up]
-    origin = sum(reach * base**j for j in range(d))
-    layer = {origin: 1}  # Q_n
-    power = {origin: 1}  # S(z^-r)^n
-    rows = {origin: [1] + [0] * truncation}
-    for n in range(1, truncation + 1):
+    layer = power = {sum(reach * base**j for j in range(d)): 1}  # Q_n, S(z^-r)^n
+    yield layer
+    for _ in range(truncation):
         power = _shift_add(power, down, {})
         layer = _shift_add(layer, up, dict(power))
-        for key, c in layer.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * (truncation + 1)
-            row[n] = c
-    unpacked = {}
-    for key, row in rows.items():
-        eta = []
-        for _ in range(d):
-            key, digit = divmod(key, base)
-            eta.append(digit - reach)
-        unpacked[tuple(eta)] = tuple(row)
-    return unpacked
+        yield layer
 
 
 def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     """Expand the spectral density of 1 - x(z_1^r+...+z_d^r) through x^truncation.
 
-    The x^n coefficient at exponent eta sums multinomial(kappa)*multinomial(kappa')
-    over pairs with |kappa| + |kappa'| = n and r*(kappa - kappa') = eta; the
-    int rows come from ``spectral_rows`` and each entry holds them as ints.
-    Rows repeat across exponents equal under permutation and negation, so
-    each distinct row is wrapped once and the frozen XSeries is shared by
-    every exponent that carries it.
+    The x^n coefficient at exponent eta is the z^eta coefficient of the layer
+    Q_n of ``_layers``, kept as an int.  Rows repeat across exponents equal
+    under permutation and negation, so each distinct row is wrapped once and
+    the frozen XSeries is shared by every exponent that carries it.
     """
-    rows = spectral_rows(d, r, truncation)
+    rows = {}
+    for n, layer in enumerate(_layers(d, r, truncation)):
+        for key, c in layer.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * (truncation + 1)
+            row[n] = c
+    reach = r * truncation  # unpack: digit j of a key in base 2 reach + 1 is eta_j + reach
+    base = 2 * reach + 1
+    powers = [base**j for j in range(d)]
+    rows = {tuple([key // p % base - reach for p in powers]): tuple(row) for key, row in rows.items()}
     shared = {row: XSeries(row) for row in set(rows.values())}
     entries = {eta: shared[row] for eta, row in rows.items()}
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)

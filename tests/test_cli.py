@@ -198,6 +198,10 @@ def test_parseval_cap_follows_config(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "parseval", "--d", "2", "--k", "13", "--json")
     assert code == 0
     assert json.loads(out)["squared_expansion_agrees"] is True
+    # the numeric check runs at its own fixed k_max = 10, which the configured cap does not bound
+    monkeypatch.setenv("OFFSETWORDS_PARSEVAL_K_CAP", "5")
+    code, out, _ = run_cli(capsys, "parseval", "--d", "2", "--k", "2", "--numeric", "0.1")
+    assert code == 0 and "numeric check" in out
 
 
 def test_parseval_numeric_grid_cap(capsys):
@@ -361,6 +365,31 @@ def test_import_loads_neither_numpy_nor_multiprocessing():
     assert proc.stdout.split()[-1] == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, taken",
+    (
+        (["spectral-table", "--d", "3", "--trunc", "12"], 10),  # a write fails: the table outgrows the pipe
+        (["count", "--n", "6", "--xi", "0,0,0"], 0),  # the final flush fails: closed before the child starts
+    ),
+)
+def test_closed_pipe_exits_141_without_traceback(argv, taken):
+    env = dict(os.environ, PYTHONPATH=str(Path(offsetwords.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout keeps its buffer, so the flush at exit has work to do
+    argv = [sys.executable, "-m", "offsetwords.cli", *argv]
+    read_end, write_end = os.pipe()
+    if not taken:
+        os.close(read_end)  # closed before the child starts, so its flush always fails
+    with subprocess.Popen(argv, env=env, stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        if taken:
+            with open(read_end, "rb") as out:
+                assert len(out.read(taken)) == taken
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 141
+
+
 def test_readme_configuration_block_lists_the_budget():
     text = README.read_text(encoding="utf-8")
     block = text.split("### Configuration", 1)[1].split("```")[1]
@@ -368,10 +397,23 @@ def test_readme_configuration_block_lists_the_budget():
     assert documented == {f.name: f.default for f in fields(Budget)}
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(capsys):
     text = README.read_text(encoding="utf-8")
-    examples = re.findall(r"^offsetwords .*$", text, re.M) + re.findall(r"`(offsetwords [^`]+)`", text)
+    block = re.findall(r"^offsetwords .*$", text, re.M)
+    examples = block + re.findall(r"`(offsetwords [^`]+)`", text)
     assert len(examples) >= 12
     parser = build_parser()
     for example in examples:
         parser.parse_args(shlex.split(example, comments=True)[1:])
+    # the CLI block's commands also run and exit 0; verify --suite all is
+    # covered by the suite_runs fixture
+    outputs = {}
+    for line in block:
+        argv = shlex.split(line, comments=True)[1:]
+        if argv != ["verify", "--suite", "all"]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and out and not err, (argv, code, err)
+            outputs[" ".join(argv)] = out
+    assert len(outputs) == 10
+    assert outputs["count --n 6 --xi 0,0,0"] == "35169\n"
+    assert outputs["oracle --n 1 --xi 1,0 --list"].split() == ["3", "111", "122", "212"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from offsetwords import core, parseval, series
 from offsetwords.config import Budget
 from offsetwords.core import count_row
 from offsetwords.errors import BudgetExceededError
@@ -41,6 +42,37 @@ def test_lhs_equals_rhs_exactly():
             assert parseval_lhs(d, k).coeffs == parseval_rhs_series(d, k).coeffs, (d, k)
     for k in range(5):
         assert parseval_lhs(4, k).coeffs == parseval_rhs_series(4, k).coeffs, (4, k)
+
+
+def test_rhs_never_counts_through_core(monkeypatch):
+    # the squared expansion is its own route: with every core count refused,
+    # it still lands on the pair sum
+    want = [parseval_lhs(d, k).coeffs for d, k in ((1, 5), (2, 6), (3, 4), (4, 3))]
+
+    def refuse(*args):
+        raise AssertionError("parseval_rhs_series counted through core")
+
+    monkeypatch.setattr(core, "count_orders", refuse)
+    monkeypatch.setattr(core, "count_offset_words", refuse)
+    got = [parseval_rhs_series(d, k).coeffs for d, k in ((1, 5), (2, 6), (3, 4), (4, 3))]
+    assert got == want
+
+
+def test_odd_parity_term_is_refused(monkeypatch):
+    # Q_1 holds only odd |eta|_1; a stray term at eta = 0 meets Q_0 at x^1
+    def odd_walk(d, r, truncation):
+        layers = series._layers(d, r, truncation)
+        first = next(layers)
+        yield first
+        second = dict(next(layers))
+        (origin,) = first
+        second[origin] = 1
+        yield second
+        yield from layers
+
+    monkeypatch.setattr(parseval, "_layers", odd_walk)
+    with pytest.raises(ArithmeticError, match="odd-length coefficient 1 should vanish, got 2"):
+        parseval_rhs_series(2, 3)
 
 
 def per_offset_lhs(d, k_max):

@@ -18,7 +18,6 @@ from offsetwords.series import (
     fourier_coefficient_series,
     lattice_points,
     ogf_w,
-    spectral_rows,
     spectral_series,
     verify_determinantal,
 )
@@ -144,17 +143,19 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
     # lattice_points(d, T) is the table's exponent count, so its size is known up front
     for d, truncation in ((1, 9), (2, 6), (3, 5), (4, 4)):
         points = lattice_points(d, truncation)
-        assert points == len(spectral_rows(d, 1, truncation))
+        assert points == len(spectral_series(d, 1, truncation).entries)
         assert points == sum(1 for _ in offsets_with_norm_at_most(d, truncation))
     check_table_size(3, 40)  # 3.6M cells
     check_table_size(6, 12)  # 4.8M cells
     with pytest.raises(BudgetExceededError, match="cells"):
         check_table_size(8, 24)
-    # spectral_rows consults the cap; d=2, T=10 has 221 * 11 cells
+    # the walk consults the cap before its first step; d=2, T=10 has 221 * 11 cells
     monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2000)
-    with pytest.raises(BudgetExceededError):
-        spectral_rows(2, 1, 10)
-    assert len(spectral_rows(2, 1, 9)) == lattice_points(2, 9)
+    with monkeypatch.context() as patched:
+        patched.setattr(series, "_shift_add", lambda *args: pytest.fail("walk started past the cap"))
+        with pytest.raises(BudgetExceededError):
+            spectral_series(2, 1, 10)
+    assert len(spectral_series(2, 1, 9).entries) == lattice_points(2, 9)
 
 
 def test_extraction_consistency(suite_runs):
