@@ -5,7 +5,6 @@ attached recurrences, divisibility certificates, quadrature and asymptotics."""
 from .core import (
     BigCount,
     OffsetVector,
-    SignSplit,
     SplitLabel,
     as_offset,
     classify_splits,
@@ -44,7 +43,6 @@ from .quadrature import (
 )
 from .asymptotics import (
     AsymptoticEstimate,
-    BellCoefficients,
     bell_B,
     bell_B_via_power,
     bessel_zeta_even,
@@ -68,13 +66,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetSplit",
     "AsymptoticEstimate",
-    "BellCoefficients",
     "BigCount",
     "Budget",
     "BudgetExceededError",
     "LaurentTable",
     "OffsetVector",
-    "SignSplit",
     "SplitLabel",
     "StabilityError",
     "TorusGrid",

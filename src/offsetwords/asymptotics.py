@@ -20,7 +20,7 @@ estimates are evaluated in log space to dodge overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -33,12 +33,11 @@ REGIMES = ("laplace", "stationary_phase", "large_d")
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
-    """A positive estimate plus the regime that produced it; inputs echoed."""
+    """A positive estimate plus the regime that produced it."""
 
     value: float
     log_value: float
     regime: str
-    params: dict = field(compare=False)
 
 
 def laplace_estimate(n: int, xi) -> AsymptoticEstimate:
@@ -50,12 +49,7 @@ def laplace_estimate(n: int, xi) -> AsymptoticEstimate:
     log_value = (2 * n + d / 2 + xi.one_norm) * math.log(d) + ((1 - d) / 2) * math.log(
         4 * math.pi * n
     )
-    return AsymptoticEstimate(
-        value=math.exp(log_value),
-        log_value=log_value,
-        regime="laplace",
-        params={"n": n, "xi": xi.components},
-    )
+    return AsymptoticEstimate(value=math.exp(log_value), log_value=log_value, regime="laplace")
 
 
 def stationary_phase_estimate(n: int, xi, lam: int) -> AsymptoticEstimate:
@@ -80,10 +74,7 @@ def stationary_phase_estimate(n: int, xi, lam: int) -> AsymptoticEstimate:
         - (d / 2) * math.log(lam)
     )
     return AsymptoticEstimate(
-        value=math.exp(log_value),
-        log_value=log_value,
-        regime="stationary_phase",
-        params={"n": n, "xi": xi.components, "lambda": lam},
+        value=math.exp(log_value), log_value=log_value, regime="stationary_phase"
     )
 
 
@@ -134,24 +125,6 @@ def bessel_zeta_even(nu: int, n: int) -> Fraction:
     log_series = normalized_bessel_series(nu, n).log()
     sign = 1 if (n + 1) % 2 == 0 else -1
     return sign * n * log_series[n] / Fraction(4**n)
-
-
-@dataclass(frozen=True)
-class BellCoefficients:
-    """Arguments a_1..a_n fed to the complete Bell polynomial for the d-th
-    Bessel power: a_k = (-1)^(k-1) (k-1)! zeta_nu(2k) d, all exact."""
-
-    nu: int
-    d: int
-    a: tuple
-
-    @staticmethod
-    def build(nu: int, n: int, d: int) -> "BellCoefficients":
-        a = tuple(
-            (-1) ** (k - 1) * math.factorial(k - 1) * bessel_zeta_even(nu, k) * d
-            for k in range(1, n + 1)
-        )
-        return BellCoefficients(nu=nu, d=d, a=a)
 
 
 def _exact_det(rows: list) -> Fraction:
@@ -214,15 +187,17 @@ def complete_bell(a: Sequence) -> Fraction:
 
 def bell_B(n: int, nu: int, d: int) -> Fraction:
     """Bessel-power coefficient polynomial B_n^(nu)(d) via the Bell route:
-    4^n ((n+nu)!/nu!) B_n(a_1, ..., a_n)."""
+    4^n ((n+nu)!/nu!) B_n(a_1, ..., a_n), with the exact arguments
+    a_k = (-1)^(k-1) (k-1)! zeta_nu(2k) d."""
     if n < 0 or nu < 0:
         raise ValueError("need n >= 0 and nu >= 0")
     if n == 0:
         return Fraction(1)
-    coeffs = BellCoefficients.build(nu, n, d)
-    return (
-        Fraction(4**n * math.factorial(n + nu), math.factorial(nu)) * complete_bell(coeffs.a)
-    )
+    a = [
+        (-1) ** (k - 1) * math.factorial(k - 1) * bessel_zeta_even(nu, k) * d
+        for k in range(1, n + 1)
+    ]
+    return Fraction(4**n * math.factorial(n + nu), math.factorial(nu)) * complete_bell(a)
 
 
 def bell_B_via_power(n: int, nu: int, d: int) -> Fraction:
@@ -271,12 +246,7 @@ def large_d_estimate(n: int, m: int, d: int) -> AsymptoticEstimate:
             + n * math.log(am * d * d / (am + 1))
         )
         value = math.exp(log_value)
-    return AsymptoticEstimate(
-        value=value,
-        log_value=log_value,
-        regime="large_d",
-        params={"n": n, "m": m, "d": d},
-    )
+    return AsymptoticEstimate(value=value, log_value=log_value, regime="large_d")
 
 
 class ProbeRow(NamedTuple):

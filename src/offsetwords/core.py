@@ -19,16 +19,6 @@ from typing import Iterator, NamedTuple, Sequence
 # Exact counts are plain Python integers (arbitrary precision).
 BigCount = int
 
-# A Parikh vector is the tuple of character multiplicities over [1:d].
-ParikhVector = tuple
-
-
-class SignSplit(NamedTuple):
-    """Componentwise positive/negative parts of an integer vector."""
-
-    plus: tuple
-    minus: tuple
-
 
 @dataclass(frozen=True)
 class OffsetVector:
@@ -53,9 +43,6 @@ class OffsetVector:
     def one_norm(self) -> int:
         return sum(abs(c) for c in self.components)
 
-    def abs(self) -> tuple:
-        return tuple(abs(c) for c in self.components)
-
     def is_constant(self) -> bool:
         return all(c == self.components[0] for c in self.components)
 
@@ -64,9 +51,6 @@ class OffsetVector:
 
     def divisible_by(self, r: int) -> bool:
         return all(c % r == 0 for c in self.components)
-
-    def __neg__(self) -> "OffsetVector":
-        return OffsetVector(tuple(-c for c in self.components))
 
     def __mul__(self, k: int) -> "OffsetVector":
         return OffsetVector(tuple(k * c for c in self.components))
@@ -77,9 +61,6 @@ class OffsetVector:
         if not self.divisible_by(r):
             raise ValueError(f"{r} does not divide {self.components}")
         return OffsetVector(tuple(c // r for c in self.components))
-
-    def __iter__(self):
-        return iter(self.components)
 
 
 class SplitLabel(NamedTuple):
@@ -96,12 +77,12 @@ def as_offset(xi) -> OffsetVector:
     return OffsetVector(tuple(xi))
 
 
-def sign_split(xi) -> SignSplit:
+def sign_split(xi) -> tuple:
     """Split xi componentwise into (max(xi_j,0), max(-xi_j,0)); plus - minus = xi."""
     xi = as_offset(xi)
     plus = tuple(max(c, 0) for c in xi.components)
     minus = tuple(max(-c, 0) for c in xi.components)
-    return SignSplit(plus, minus)
+    return plus, minus
 
 
 def multinomial(alpha: Sequence[int]) -> BigCount:

@@ -29,6 +29,10 @@ from .oracle import _labelled_words
 from .quadrature import density_square_mean
 from .series import XSeries, _layers, check_table_size
 
+# Highest series order parseval_numeric_check accepts; a fixed limit, not a
+# Budget cap, so no config key or environment variable raises it.
+_NUMERIC_K_LIMIT = 12
+
 
 def offsets_with_norm_at_most(d: int, bound: int) -> Iterator[tuple]:
     """All xi in Z^d with ||xi||_1 <= bound."""
@@ -115,11 +119,15 @@ def parseval_numeric_check(d: int, x: float, grid_size: int | None = None, k_max
     tail bound dominates the dropped terms: the x^k coefficient is at
     most (2k+1)(k+1) d^(2k) (pairs of strings times shared labels), so the
     tail is at most sum_{k>k_max} (2k+1)(k+1)(d^2 x)^k, returned in closed form.
-    rhs is the grid quadrature of the squared density at sqrt(x).
+    rhs is the grid quadrature of the squared density at sqrt(x).  k_max is
+    at most 12, a fixed limit.
     """
     if not 0.0 <= x < 1.0 / d**2:
         raise ValueError(f"x = {x} outside [0, 1/d^2) for d = {d}")
-    DEFAULT_BUDGET.check_parseval(k_max)
+    if k_max > _NUMERIC_K_LIMIT:
+        raise BudgetExceededError(
+            f"numeric check order k = {k_max} is above the fixed limit of {_NUMERIC_K_LIMIT}"
+        )
     lhs = XSeries(_square_pair_counts(d, k_max)).eval_float(x)
     # With k = K+1+j, K = k_max: (2k+1)(k+1) = (2K+3)(K+2) + (4K+7) j + 2 j^2,
     # and sum_j q^j, j q^j, j^2 q^j are 1/(1-q), q/(1-q)^2, q(1+q)/(1-q)^3.

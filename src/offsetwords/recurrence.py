@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BigCount, OffsetVector, as_offset, count_offset_words, count_row, sign_split
+from .core import BigCount, OffsetVector, as_offset, count_orders, count_row, sign_split
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
     forced xi^+ occurrences) the product of two binomials choosing the
     positions and the two sub-alphabet counts.  The sub-counts are read from
     one grouped-letter fold per side (count_row of xi_S and of xi_T), so a
-    call costs two folds rather than 2(n+1) point counts.  The identity is
-    checked against count_offset_words, whose composition sum at a
-    non-constant xi is a route independent of the fold.
+    call costs two folds.  The identity is checked against
+    count_offset_words, whose composition sum at a non-constant xi is a route
+    independent of the fold.
     """
     if not isinstance(split, AlphabetSplit):
         split = AlphabetSplit(tuple(split))
@@ -110,6 +110,7 @@ def _certified(n: int, xi: OffsetVector, w: BigCount) -> bool:
 
 
 def check_divisibility(n: int, xi) -> bool:
-    """True iff the count at (n, xi) passes every applicable modular certificate."""
+    """True iff the count at (n, xi), read from one grouped-letter fold
+    (count_orders), passes every applicable modular certificate."""
     xi = as_offset(xi)
-    return _certified(n, xi, count_offset_words(n, xi))
+    return _certified(n, xi, count_orders((n,), xi)[0])

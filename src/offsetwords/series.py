@@ -121,13 +121,6 @@ class XSeries:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "XSeries":
-        """Multiply by x^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("negative shift")
-        coeffs = (0,) * k + self.coeffs
-        return XSeries(coeffs[: self.order + 1])
-
     def log(self) -> "XSeries":
         """Formal logarithm; requires constant term 1."""
         if self.coeffs[0] != 1:

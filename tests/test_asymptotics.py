@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from offsetwords import asymptotics
 from offsetwords.asymptotics import (
-    BellCoefficients,
     bell_B,
     bell_B_via_power,
     bessel_zeta_even,
@@ -113,11 +112,6 @@ class TestBessel:
         # classical Rayleigh second sum: zeta_nu(4) = 1/(16 (nu+1)^2 (nu+2))
         for nu in range(6):
             assert bessel_zeta_even(nu, 2) == F(1, 16 * (nu + 1) ** 2 * (nu + 2))
-
-    def test_bell_coefficient_invariant(self):
-        coeffs = BellCoefficients.build(2, 5, 7)
-        for k, a in enumerate(coeffs.a, start=1):
-            assert a == (-1) ** (k - 1) * math.factorial(k - 1) * bessel_zeta_even(2, k) * 7
 
 
 class TestCompleteBell:

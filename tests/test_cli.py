@@ -351,6 +351,15 @@ def test_malformed_input_exits_2_with_a_message(case):
     assert (fragment or f"{path}:1") in message
 
 
+def test_public_surface():
+    # every exported name resolves, once each, and names no caller reads are
+    # neither exported nor defined
+    exported = offsetwords.__all__
+    assert all(hasattr(offsetwords, name) for name in exported)
+    assert len(exported) == len(set(exported))
+    assert not any(hasattr(offsetwords, name) for name in ("ParikhVector", "SignSplit", "BellCoefficients"))
+
+
 def test_import_loads_neither_numpy_nor_multiprocessing():
     # numpy is imported only by the code that uses it, and no path starts a process pool
     env = dict(os.environ, PYTHONPATH=str(Path(offsetwords.__file__).parents[1]))

@@ -149,8 +149,14 @@ def test_numeric_check_series_is_the_pair_sum(d, x, k_max):
     assert parseval_numeric_check(d, x, k_max=k_max).lhs == parseval_lhs(d, k_max).eval_float(x)
 
 
-def test_numeric_check_refusals():
-    with pytest.raises(BudgetExceededError, match="parseval_k_cap.*OFFSETWORDS_PARSEVAL_K_CAP"):
+def test_numeric_check_refusals(monkeypatch):
+    # a fixed limit, named in the message with no config key; the Parseval
+    # cap's environment variable does not raise it
+    message = "^numeric check order k = 13 is above the fixed limit of 12$"
+    with pytest.raises(BudgetExceededError, match=message):
+        parseval_numeric_check(2, 0.1, k_max=13)
+    monkeypatch.setenv("OFFSETWORDS_PARSEVAL_K_CAP", "40")
+    with pytest.raises(BudgetExceededError, match=message):
         parseval_numeric_check(2, 0.1, k_max=13)
     # the x range is checked first, with the same message as before
     for d, x in ((2, 0.25), (2, -0.01), (3, 0.2)):

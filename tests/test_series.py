@@ -52,10 +52,6 @@ class TestXSeries:
         assert (geom**3).coeffs == tuple(F(math.comb(k + 2, 2)) for k in range(6))
         assert (geom**0).coeffs == (F(1),) + (F(0),) * 5
 
-    def test_shift(self):
-        s = XSeries.from_list([1, 2, 3], order=4)
-        assert s.shift(2).coeffs == (F(0), F(0), F(1), F(2), F(3))
-
     def test_log_exp_roundtrip(self):
         rng = random.Random(5)
         coeffs = [F(1)] + [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)]
