@@ -4,7 +4,6 @@ attached recurrences, divisibility certificates, quadrature and asymptotics."""
 
 from .core import (
     BigCount,
-    OffsetVector,
     SplitLabel,
     as_offset,
     classify_splits,
@@ -25,7 +24,7 @@ from .oracle import (
     oracle_count,
     oracle_words,
 )
-from .recurrence import AlphabetSplit, check_divisibility, divisibility_modulus, recurrence_count
+from .recurrence import check_divisibility, divisibility_modulus, recurrence_count
 from .series import (
     LaurentTable,
     XSeries,
@@ -64,13 +63,11 @@ from .parseval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetSplit",
     "AsymptoticEstimate",
     "BigCount",
     "Budget",
     "BudgetExceededError",
     "LaurentTable",
-    "OffsetVector",
     "SplitLabel",
     "StabilityError",
     "TorusGrid",

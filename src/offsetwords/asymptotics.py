@@ -25,7 +25,7 @@ from functools import partial
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import BigCount, OffsetVector, as_offset, count_orders
+from .core import BigCount, as_offset, count_orders
 from .series import XSeries
 
 REGIMES = ("laplace", "stationary_phase", "large_d")
@@ -45,8 +45,8 @@ def laplace_estimate(n: int, xi) -> AsymptoticEstimate:
     if n < 1:
         raise ValueError("the order-asymptotic formula is degenerate at n = 0")
     xi = as_offset(xi)
-    d = xi.d
-    log_value = (2 * n + d / 2 + xi.one_norm) * math.log(d) + ((1 - d) / 2) * math.log(
+    d = len(xi)
+    log_value = (2 * n + d / 2 + sum(map(abs, xi))) * math.log(d) + ((1 - d) / 2) * math.log(
         4 * math.pi * n
     )
     return AsymptoticEstimate(value=math.exp(log_value), log_value=log_value, regime="laplace")
@@ -61,12 +61,12 @@ def stationary_phase_estimate(n: int, xi, lam: int) -> AsymptoticEstimate:
     lambda^(-(d-1)/2), not lambda^(-d/2); see ratio_probe and the README.
     """
     xi = as_offset(xi)
-    if xi.is_zero():
+    if not any(xi):
         raise ValueError("stationary-phase estimate needs xi != 0")
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
-    d = xi.d
-    norm = xi.one_norm
+    d = len(xi)
+    norm = sum(map(abs, xi))
     log_value = (
         (1 - 1.5 * d) * math.log(2 * math.pi)
         - 0.5 * math.log(norm * (d + 1))
@@ -86,10 +86,10 @@ def stationary_phase_hessian_det(xi) -> float:
     must agree to near machine precision.
     """
     xi = as_offset(xi)
-    d = xi.d
+    d = len(xi)
     if d < 2:
         raise ValueError("the Hessian determinant needs d >= 2")
-    c = xi.one_norm / d
+    c = sum(map(abs, xi)) / d
     closed = c**d * (d + 1)
     import numpy as np
 
@@ -282,12 +282,12 @@ def ratio_probe(regime: str, sweep: Sequence[int], **params) -> list:
         xi = as_offset(params["xi"])
         n = params.get("n", 0)
         estimate = partial(stationary_phase_estimate, n, xi)
-        case = lambda lam: (n, xi * lam)
+        case = lambda lam: (n, tuple(lam * c for c in xi))
     elif regime == "large_d":
         n = params["n"]
         m = params.get("m", 0)
         estimate = partial(large_d_estimate, n, m)
-        case = lambda d: (n, OffsetVector((m,) * d))
+        case = lambda d: (n, (m,) * d)
     else:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     estimates = []

@@ -74,10 +74,10 @@ def _cmd_oracle(args, budget: Budget) -> int:
 
 def _cmd_series(args, budget: Budget) -> int:
     xi = args.xi
-    if args.ogf and args.r >= 1 and xi.divisible_by(args.r):
-        series = ogf_w(xi.scale_down(args.r), args.trunc)
+    if args.ogf and args.r >= 1 and not any(c % args.r for c in xi):
+        series = ogf_w(tuple(c // args.r for c in xi), args.trunc)
     else:  # by length; the zero series when r does not divide xi, refused when r < 1
-        series = fourier_coefficient_series(xi, xi.d, args.r, args.trunc)
+        series = fourier_coefficient_series(xi, len(xi), args.r, args.trunc)
     print(_dump(series.to_json_dict()))
     return 0
 

@@ -12,76 +12,38 @@ everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 # Exact counts are plain Python integers (arbitrary precision).
 BigCount = int
 
 
-@dataclass(frozen=True)
-class OffsetVector:
-    """An integer vector xi in Z^d labelling an offset class.
-
-    Immutable; d >= 1 is enforced (there is no empty alphabet).
-    """
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(int(c) for c in self.components)
-        if len(comps) < 1:
-            raise ValueError("offset vector must have dimension d >= 1")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def d(self) -> int:
-        return len(self.components)
-
-    @property
-    def one_norm(self) -> int:
-        return sum(abs(c) for c in self.components)
-
-    def is_constant(self) -> bool:
-        return all(c == self.components[0] for c in self.components)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
-
-    def divisible_by(self, r: int) -> bool:
-        return all(c % r == 0 for c in self.components)
-
-    def __mul__(self, k: int) -> "OffsetVector":
-        return OffsetVector(tuple(k * c for c in self.components))
-
-    __rmul__ = __mul__
-
-    def scale_down(self, r: int) -> "OffsetVector":
-        if not self.divisible_by(r):
-            raise ValueError(f"{r} does not divide {self.components}")
-        return OffsetVector(tuple(c // r for c in self.components))
-
-
 class SplitLabel(NamedTuple):
     """Order/offset pair carried by a string: the string has length 2n + ||xi||_1."""
 
     order: int
-    offset: OffsetVector
+    offset: tuple
 
 
-def as_offset(xi) -> OffsetVector:
-    """Coerce an int sequence (or OffsetVector) to an OffsetVector."""
-    if isinstance(xi, OffsetVector):
-        return xi
-    return OffsetVector(tuple(xi))
+def as_offset(xi) -> tuple:
+    """An offset xi in Z^d as a tuple of ints, d >= 1 (there is no empty alphabet).
+
+    Each component passes operator.index, so ints, bools and numpy ints are
+    taken and a float or string component raises TypeError, not truncated.
+    """
+    xi = tuple(map(operator.index, xi))
+    if not xi:
+        raise ValueError("offset vector must have dimension d >= 1")
+    return xi
 
 
 def sign_split(xi) -> tuple:
     """Split xi componentwise into (max(xi_j,0), max(-xi_j,0)); plus - minus = xi."""
     xi = as_offset(xi)
-    plus = tuple(max(c, 0) for c in xi.components)
-    minus = tuple(max(-c, 0) for c in xi.components)
+    plus = tuple(max(c, 0) for c in xi)
+    minus = tuple(max(-c, 0) for c in xi)
     return plus, minus
 
 
@@ -156,6 +118,8 @@ def classify_splits(word: Sequence[int], d: int) -> list:
     (len(word) - ||offset||_1) / 2, which is always an integer: the length and
     the one-norm of the offset have the same parity.
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     suffix = list(parikh(word, d))
     prefix = [0] * d
     length = len(word)
@@ -165,7 +129,7 @@ def classify_splits(word: Sequence[int], d: int) -> list:
         norm = sum(abs(c) for c in xi)
         order2 = length - norm
         assert order2 % 2 == 0 and order2 >= 0
-        labels.append(SplitLabel(order2 // 2, OffsetVector(xi)))
+        labels.append(SplitLabel(order2 // 2, xi))
         if k < length:
             c = word[k] - 1
             prefix[c] += 1
@@ -287,10 +251,10 @@ def count_offset_words(n: int, xi) -> BigCount:
     if n < 0:
         raise ValueError("order n must be nonnegative")
     xi = as_offset(xi)
-    if xi.is_constant():
+    if len(set(xi)) == 1:
         return count_orders((n,), xi)[0]
     plus, minus = sign_split(xi)
     total = 0
-    for nu in weak_compositions(n, xi.d):
+    for nu in weak_compositions(n, len(xi)):
         total += _composition_term(nu, plus, minus)
     return total

@@ -30,15 +30,15 @@ def oracle_count(n: int, xi, budget: Budget = DEFAULT_BUDGET) -> BigCount:
     if n < 0:
         raise ValueError("order n must be nonnegative")
     xi = as_offset(xi)
-    d = xi.d
+    d = len(xi)
     plus, minus = sign_split(xi)
-    total_length = 2 * n + xi.one_norm
+    total_length = 2 * n + sum(map(abs, xi))
     budget.check_oracle(d, total_length)
     left = _parikh_census(d, n + sum(plus))
     right = _parikh_census(d, n + sum(minus))
     total = 0
     for rho_w, cnt in left.items():
-        rho_wp = tuple(a - c for a, c in zip(rho_w, xi.components))
+        rho_wp = tuple(a - c for a, c in zip(rho_w, xi))
         if all(v >= 0 for v in rho_wp):
             total += cnt * right.get(rho_wp, 0)
     return total
@@ -48,14 +48,14 @@ def oracle_words(n: int, xi, budget: Budget = DEFAULT_BUDGET, limit: int | None 
     """Yield the actual offset words ww', at most ``limit`` of them (none when
     limit <= 0)."""
     xi = as_offset(xi)
-    d = xi.d
+    d = len(xi)
     plus, minus = sign_split(xi)
-    budget.check_oracle(d, 2 * n + xi.one_norm)
+    budget.check_oracle(d, 2 * n + sum(map(abs, xi)))
     emitted = 0
     for w in product(range(1, d + 1), repeat=n + sum(plus)):
         rho_w = parikh(w, d)
         for wp in product(range(1, d + 1), repeat=n + sum(minus)):
-            if tuple(a - b for a, b in zip(rho_w, parikh(wp, d))) == xi.components:
+            if tuple(a - b for a, b in zip(rho_w, parikh(wp, d))) == xi:
                 if limit is not None and emitted >= limit:
                     return
                 yield w + wp
@@ -78,7 +78,7 @@ def _labelled_words(d: int, length: int) -> Iterator[tuple]:
     no word carries the same offset at two split points.
     """
     for word in product(range(1, d + 1), repeat=length):
-        yield word, {label.offset.components for label in classify_splits(word, d)}
+        yield word, {label.offset for label in classify_splits(word, d)}
 
 
 def enumerate_pairs_by_length(

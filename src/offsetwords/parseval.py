@@ -53,6 +53,12 @@ def _canonical(xi: tuple) -> tuple:
     return min(a, b)
 
 
+def _check_order(k_max: int) -> None:
+    """Refuse a negative pair order k."""
+    if k_max < 0:
+        raise ValueError(f"pair order k must be nonnegative, got k = {k_max}")
+
+
 def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Coefficient of x^k: sum over xi and n1+n2+||xi||_1 = k of w_(n1,xi) w_(n2,xi).
 
@@ -63,6 +69,7 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
     the cell cap of the length-2k walk that parseval_rhs_series makes is
     checked before anything is counted.
     """
+    _check_order(k_max)
     budget.check_parseval(k_max)
     check_table_size(d, 2 * k_max)
     classes = Counter(_canonical(xi) for xi in offsets_with_norm_at_most(d, k_max))
@@ -86,6 +93,7 @@ def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) 
     and doubled.  Surviving exponents are even and are halved to land on the
     common index.  ``budget.parseval_k_cap`` bounds k_max.
     """
+    _check_order(k_max)
     budget.check_parseval(k_max)
     layers = list(_layers(d, 1, 2 * k_max))
     acc = [0] * len(layers)
@@ -124,6 +132,7 @@ def parseval_numeric_check(d: int, x: float, grid_size: int | None = None, k_max
     """
     if not 0.0 <= x < 1.0 / d**2:
         raise ValueError(f"x = {x} outside [0, 1/d^2) for d = {d}")
+    _check_order(k_max)
     if k_max > _NUMERIC_K_LIMIT:
         raise BudgetExceededError(
             f"numeric check order k = {k_max} is above the fixed limit of {_NUMERIC_K_LIMIT}"

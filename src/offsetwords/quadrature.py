@@ -88,7 +88,7 @@ class TorusGrid:
         xi = as_offset(xi)
         M = self.points_per_axis
         work = np.asarray(values, dtype=complex)
-        for component in xi.components:
+        for component in xi:
             phase = np.exp(-1j * component * self.axis()) / M
             work = np.tensordot(phase, work, axes=(0, 0))
         return complex(work)
@@ -97,7 +97,7 @@ class TorusGrid:
 def quadrature_threshold(n: int, xi) -> int:
     """Smallest per-axis grid size that integrates the count integrand exactly."""
     xi = as_offset(xi)
-    return 2 * (2 * n + xi.one_norm) + 1
+    return 2 * (2 * n + sum(map(abs, xi))) + 1
 
 
 def _last_axis_count_mean(s, a: int, b: int, k: int):
@@ -127,8 +127,8 @@ def _head_grid_mean(xi, r: int, grid_size: int, last_axis) -> complex:
     are gridded at grid_size points per axis, and the grid-point cap is checked on
     the nominal grid_size^d grid before allocating.  The mean vanishes unless r | k.
     """
-    TorusGrid(xi.d, grid_size)  # refuses above the cap; allocates nothing
-    *head, k = xi.components
+    TorusGrid(len(xi), grid_size)  # refuses above the cap; allocates nothing
+    *head, k = xi
     if k % r:
         return 0j
     if not head:
@@ -160,7 +160,7 @@ def integral_count(n: int, xi, grid_size: int | None = None) -> float:
         grid_size = threshold
     if grid_size < threshold:
         raise ValueError(
-            f"grid size {grid_size} below exactness threshold {threshold} for (n={n}, xi={xi.components})"
+            f"grid size {grid_size} below exactness threshold {threshold} for (n={n}, xi={xi})"
         )
     return float(integral_mean(n, xi, grid_size).real)
 
@@ -222,8 +222,8 @@ def _density_coefficient(xi, x: float, r: int, grid_size: int | None, power: int
     xi = as_offset(xi)
     if r < 1:
         raise ValueError(f"need r >= 1, got r = {r}")
-    if abs(x) >= 1.0 / xi.d:
-        raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{xi.d}")
+    if abs(x) >= 1.0 / len(xi):
+        raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{len(xi)}")
     if grid_size is not None:
         return _density_mean(xi, x, r, grid_size, power)
     size = 64

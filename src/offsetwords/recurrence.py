@@ -11,47 +11,33 @@ of repeats among the nonzero offset entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Sequence
 
-from .core import BigCount, OffsetVector, as_offset, count_orders, count_row, sign_split
+from .core import BigCount, as_offset, count_orders, count_row, sign_split
 
 
-@dataclass(frozen=True)
-class AlphabetSplit:
-    """A strictly increasing selection s_1 < ... < s_t from [1:d], 1 <= t <= d-1."""
-
-    selected: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", tuple(int(s) for s in self.selected))
-
-    def validate(self, d: int) -> None:
-        s = self.selected
-        if d < 2:
-            raise ValueError("alphabet splits need d >= 2")
-        if not 1 <= len(s) <= d - 1:
-            raise ValueError(f"split size must be in [1:{d - 1}], got {len(s)}")
-        if any(not 1 <= v <= d for v in s):
-            raise ValueError(f"split letters must lie in [1:{d}]: {s}")
-        if any(a >= b for a, b in zip(s, s[1:])):
-            raise ValueError(f"split letters must be strictly increasing: {s}")
-
-    def complement(self, d: int) -> tuple:
-        chosen = set(self.selected)
-        return tuple(j for j in range(1, d + 1) if j not in chosen)
+def _check_split(split, d: int) -> tuple:
+    """The split letters s_1 < ... < s_t of [1:d], 1 <= t <= d-1, as a tuple of ints."""
+    s = tuple(map(operator.index, split))
+    if d < 2:
+        raise ValueError("alphabet splits need d >= 2")
+    if not 1 <= len(s) <= d - 1:
+        raise ValueError(f"split size must be in [1:{d - 1}], got {len(s)}")
+    if any(not 1 <= v <= d for v in s):
+        raise ValueError(f"split letters must lie in [1:{d}]: {s}")
+    if any(a >= b for a, b in zip(s, s[1:])):
+        raise ValueError(f"split letters must be strictly increasing: {s}")
+    return s
 
 
 def all_splits(d: int) -> list:
-    """An AlphabetSplit for every proper nonempty subset of [1:d], in the order
-    of the bitmask whose bit j - 1 selects letter j."""
-    return [
-        AlphabetSplit(tuple(j + 1 for j in range(d) if mask >> j & 1))
-        for mask in range(1, 2**d - 1)
-    ]
+    """The letters of every proper nonempty subset of [1:d], as tuples, in the
+    order of the bitmask whose bit j - 1 selects letter j."""
+    return [tuple(j + 1 for j in range(d) if mask >> j & 1) for mask in range(1, 2**d - 1)]
 
 
-def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCount:
+def recurrence_count(n: int, xi, split: Sequence[int]) -> BigCount:
     """Evaluate the split-alphabet recurrence at (n, xi).
 
     Sums over j (the number of S-characters in the first half beyond the
@@ -62,16 +48,14 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
     count_offset_words, whose composition sum at a non-constant xi is a route
     independent of the fold.
     """
-    if not isinstance(split, AlphabetSplit):
-        split = AlphabetSplit(tuple(split))
     xi = as_offset(xi)
-    d = xi.d
-    split.validate(d)
+    d = len(xi)
+    split = _check_split(split, d)
     plus, minus = sign_split(xi)
-    s_idx = [s - 1 for s in split.selected]
-    t_idx = [s - 1 for s in split.complement(d)]
-    xi_s = OffsetVector(tuple(xi.components[i] for i in s_idx))
-    xi_t = OffsetVector(tuple(xi.components[i] for i in t_idx))
+    s_idx = [s - 1 for s in split]
+    t_idx = [j for j in range(d) if j + 1 not in split]
+    xi_s = tuple(xi[i] for i in s_idx)
+    xi_t = tuple(xi[i] for i in t_idx)
     plus_s = sum(plus[i] for i in s_idx)
     minus_s = sum(minus[i] for i in s_idx)
     top_plus = n + sum(plus)
@@ -86,26 +70,26 @@ def recurrence_count(n: int, xi, split: AlphabetSplit | Sequence[int]) -> BigCou
 def divisibility_modulus(xi) -> int:
     """lcm(1, ..., t) where t is the maximal multiplicity of a nonzero entry of xi."""
     xi = as_offset(xi)
-    if xi.d < 2:
+    if len(xi) < 2:
         raise ValueError("divisibility certificate needs d >= 2")
-    if xi.is_zero():
+    if not any(xi):
         raise ValueError("divisibility certificate needs xi != 0")
     occurrences: dict = {}
-    for c in xi.components:
+    for c in xi:
         if c != 0:
             occurrences[c] = occurrences.get(c, 0) + 1
     top = max(occurrences.values())
     return math.lcm(*range(1, top + 1))
 
 
-def _certified(n: int, xi: OffsetVector, w: BigCount) -> bool:
+def _certified(n: int, xi: tuple, w: BigCount) -> bool:
     """True iff the given count w at (n, xi) passes every applicable modular
     certificate."""
     ok = True
-    if not xi.is_zero() and xi.d >= 2:
+    if any(xi) and len(xi) >= 2:
         ok = ok and w % divisibility_modulus(xi) == 0
-    if xi.is_constant() and (n, xi.components[0]) != (0, 0):
-        ok = ok and w % xi.d == 0
+    if len(set(xi)) == 1 and (n, xi[0]) != (0, 0):
+        ok = ok and w % len(xi) == 0
     return ok
 
 

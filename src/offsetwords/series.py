@@ -193,9 +193,9 @@ class LaurentTable:
 
     def entry(self, xi) -> XSeries:
         xi = as_offset(xi)
-        if xi.d != self.d:
-            raise ValueError(f"exponent dimension {xi.d} does not match table dimension {self.d}")
-        return self.entries.get(xi.components, XSeries.zero(self.truncation))
+        if len(xi) != self.d:
+            raise ValueError(f"exponent dimension {len(xi)} does not match table dimension {self.d}")
+        return self.entries.get(xi, XSeries.zero(self.truncation))
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,14 +298,14 @@ def fourier_coefficient_series(xi, d: int, r: int, truncation: int) -> XSeries:
     counts words by length).
     """
     xi = as_offset(xi)
-    if xi.d != d:
-        raise ValueError(f"xi has dimension {xi.d}, expected {d}")
+    if len(xi) != d:
+        raise ValueError(f"xi has dimension {len(xi)}, expected {d}")
     _check_expansion_args(d, r, truncation)
-    if not xi.divisible_by(r):
+    if any(c % r for c in xi):
         return XSeries.zero(truncation)
-    eta = xi.scale_down(r)
+    eta = tuple(c // r for c in xi)
     coeffs = [0] * (truncation + 1)
-    norm = eta.one_norm
+    norm = sum(map(abs, eta))
     if norm <= truncation:
         for n, w in enumerate(count_row((truncation - norm) // 2, eta)):
             coeffs[2 * n + norm] = w

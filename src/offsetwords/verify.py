@@ -24,7 +24,7 @@ from .asymptotics import (
     stationary_phase_hessian_det,
     w_via_bessel,
 )
-from .core import OffsetVector, as_offset, count_offset_words, count_row, multinomial, sign_split
+from .core import count_offset_words, count_row, multinomial, sign_split
 from .oracle import enumerate_pairs_by_length, oracle_count
 from .parseval import (
     _square_pair_counts,
@@ -60,13 +60,12 @@ def suite_oracle() -> list:
     mismatches = []
     pairs = 0
     for d in (1, 2, 3):
-        for xi_t in offsets_with_norm_at_most(d, 3):
-            xi = OffsetVector(xi_t)
+        for xi in offsets_with_norm_at_most(d, 3):
             for n in range(5):
                 pairs += 1
                 w = count_offset_words(n, xi)
                 if oracle_count(n, xi) != w:
-                    mismatches.append((n, xi_t))
+                    mismatches.append((n, xi))
                 worst_rel = max(worst_rel, abs(integral_count(n, xi) - w) / w)
     results.append(
         _result(
@@ -107,14 +106,13 @@ def suite_recurrence() -> list:
     checked = 0
     for d in (2, 3, 4):
         splits = all_splits(d)
-        for xi_t in offsets_with_norm_at_most(d, 4):
-            xi = OffsetVector(xi_t)
+        for xi in offsets_with_norm_at_most(d, 4):
             for n in range(7):
                 w = count_offset_words(n, xi)
                 for split in splits:
                     checked += 1
                     if recurrence_count(n, xi, split) != w:
-                        bad.append((n, xi_t, split.selected))
+                        bad.append((n, xi, split))
     zero_order_ok = True
     for d in (2, 3):
         for xi_t in offsets_with_norm_at_most(d, 3):
@@ -160,9 +158,8 @@ def suite_divisibility() -> list:
             xi = tuple(mag * rng.choice((1, -1)) if mag else 0 for mag in mags)
             if any(xi):
                 break
-        offset = OffsetVector(xi)
-        for n, w in enumerate(count_row(10, offset)):
-            if not _certified(n, offset, w):
+        for n, w in enumerate(count_row(10, xi)):
+            if not _certified(n, xi, w):
                 cert_bad.append((n, xi))
     results.append(
         _result(
@@ -305,16 +302,15 @@ def suite_series() -> list:
     for d, base in bases.items():
         for r in (2, 3):
             table = spectral_series(d, r, trunc)
-            for xi_t in offsets_with_norm_at_most(d, 4):
-                xi = OffsetVector(xi_t)
+            for xi in offsets_with_norm_at_most(d, 4):
                 entry = table.entry(xi)
                 series = fourier_coefficient_series(xi, d, r, trunc)
-                if xi.divisible_by(r):
-                    expected = base.entry(xi.scale_down(r))
-                    if entry.coeffs != expected.coeffs or series.coeffs != fourier_coefficient_series(xi.scale_down(r), d, 1, trunc).coeffs:
-                        rdiv_bad.append((d, r, xi_t))
+                if not any(c % r for c in xi):
+                    eta = tuple(c // r for c in xi)
+                    if entry.coeffs != base.entry(eta).coeffs or series.coeffs != fourier_coefficient_series(eta, d, 1, trunc).coeffs:
+                        rdiv_bad.append((d, r, xi))
                 elif not entry.is_zero() or not series.is_zero():
-                    rdiv_bad.append((d, r, xi_t))
+                    rdiv_bad.append((d, r, xi))
     results.append(
         _result(
             "series",
@@ -331,8 +327,7 @@ def suite_quadrature() -> list:
     results = []
     doubling_ok = True
     imag_ok = True
-    for n, xi_t in ((2, (0, 0, 0)), (1, (1, 0)), (3, (2, -1)), (4, (0, 0))):
-        xi = as_offset(xi_t)
+    for n, xi in ((2, (0, 0, 0)), (1, (1, 0)), (3, (2, -1)), (4, (0, 0))):
         base = quadrature_threshold(n, xi)
         v1 = integral_mean(n, xi, base)
         v2 = integral_mean(n, xi, 2 * base)
@@ -345,18 +340,18 @@ def suite_quadrature() -> list:
     results.append(_result("quadrature", "imaginary parts below 1e-9", imag_ok))
     tail_ok = True
     details = []
-    for d, xi_t, x in ((2, (1, 0), 0.2), (3, (0, 0, 0), 0.1), (3, (1, -1, 0), 0.12)):
-        xi = as_offset(xi_t)
+    for d, xi, x in ((2, (1, 0), 0.2), (3, (0, 0, 0), 0.1), (3, (1, -1, 0), 0.12)):
         numeric = fourier_coefficient_numeric(xi, x)
         trunc = 14
         partial = fourier_coefficient_series(xi, d, 1, trunc).eval_float(x)
         # counts are at most d^length, so the dropped terms are dominated by
         # the geometric series (d x)^k beyond the truncation
         q = (d * x) ** 2
-        tail = (d * x) ** xi.one_norm * q ** ((trunc - xi.one_norm) // 2 + 1) / (1 - q)
+        norm = sum(map(abs, xi))
+        tail = (d * x) ** norm * q ** ((trunc - norm) // 2 + 1) / (1 - q)
         gap = abs(numeric - partial)
         tail_ok = tail_ok and gap <= tail + 1e-8
-        details.append(f"d={d},xi={xi_t}: gap {gap:.2e} <= tail {tail:.2e}")
+        details.append(f"d={d},xi={xi}: gap {gap:.2e} <= tail {tail:.2e}")
     results.append(
         _result("quadrature", "density coefficients match series partial sums within the tail", tail_ok, "; ".join(details))
     )
@@ -365,8 +360,8 @@ def suite_quadrature() -> list:
         for d in (1, 2, 3)
         for scale in (0.5, 0.9)
         for r in (2, 3)
-        for xi in map(OffsetVector, offsets_with_norm_at_most(d, 4))
-        if not xi.divisible_by(r)
+        for xi in offsets_with_norm_at_most(d, 4)
+        if any(c % r for c in xi)
     )
     results.append(
         _result(
@@ -441,9 +436,8 @@ def suite_asymptotics() -> list:
     )
     hessian_ok = True
     for d in range(2, 11):
-        xi = OffsetVector((2,) + (0,) * (d - 1))
         try:
-            stationary_phase_hessian_det(xi)
+            stationary_phase_hessian_det((2,) + (0,) * (d - 1))
         except ArithmeticError:
             hessian_ok = False
     results.append(
@@ -453,9 +447,8 @@ def suite_asymptotics() -> list:
     # algebraic scaling identity, and the documented ratio drift (the exact
     # counts C(2 lambda, lambda) grow a factor ~sqrt(lambda) above the formula)
     spot_ok = True
-    for n, xi_t, lam in ((0, (1, 1), 10), (0, (1, 0), 5)):
-        xi = as_offset(xi_t)
-        d, norm = xi.d, xi.one_norm
+    for n, xi, lam in ((0, (1, 1), 10), (0, (1, 0), 5)):
+        d, norm = len(xi), sum(map(abs, xi))
         expected = (
             (2 * math.pi) ** (1 - 1.5 * d)
             / math.sqrt(norm * (d + 1))
@@ -467,10 +460,9 @@ def suite_asymptotics() -> list:
     results.append(_result("asymptotics", "ray regime: spot values match direct substitution", spot_ok))
     scaling_ok = True
     for lam in (3, 7):
-        for xi_t in ((1, 1), (2, -1, 0)):
-            xi = as_offset(xi_t)
+        for xi in ((1, 1), (2, -1, 0)):
             lhs = stationary_phase_estimate(1, xi, 4 * lam).log_value - stationary_phase_estimate(1, xi, lam).log_value
-            rhs = 3 * lam * xi.one_norm * math.log(xi.d) - (xi.d / 2) * math.log(4)
+            rhs = 3 * lam * sum(map(abs, xi)) * math.log(len(xi)) - (len(xi) / 2) * math.log(4)
             scaling_ok = scaling_ok and abs(lhs - rhs) < 1e-9
     results.append(_result("asymptotics", "ray regime: lambda -> 4 lambda scaling identity", scaling_ok))
     rows = ratio_probe("stationary_phase", [8, 16, 32, 64], xi=(1, 1), n=0)

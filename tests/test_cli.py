@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -328,10 +329,13 @@ _malformed_line = st.one_of(
         st.tuples(st.integers(-3, 0), st.sampled_from(([], ["--ogf"]))).map(
             lambda c: ("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", str(c[0]), *c[1]], None)
         ),
+        # well-formed but out of range: the Parseval pair order needs k >= 0
+        st.integers(-4, -1).map(lambda k: (f"k = {k}", ["parseval", "--d", "2", "--k", str(k)], None)),
     )
 )
 @example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0"], None))
 @example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0", "--ogf"], None))
+@example(case=("k = -1", ["parseval", "--d", "2", "--k", "-1"], None))
 def test_malformed_input_exits_2_with_a_message(case):
     fragment, argv, config_line = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -357,7 +361,28 @@ def test_public_surface():
     exported = offsetwords.__all__
     assert all(hasattr(offsetwords, name) for name in exported)
     assert len(exported) == len(set(exported))
-    assert not any(hasattr(offsetwords, name) for name in ("ParikhVector", "SignSplit", "BellCoefficients"))
+    removed = ("ParikhVector", "SignSplit", "BellCoefficients", "OffsetVector", "AlphabetSplit")
+    assert not any(hasattr(offsetwords, name) for name in removed)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports only to re-export, and __future__ imports are directives
+    unused = []
+    for path in sorted(Path(offsetwords.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused
 
 
 def test_import_loads_neither_numpy_nor_multiprocessing():

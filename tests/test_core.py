@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from offsetwords import core
 from offsetwords.asymptotics import w_via_bessel
+from offsetwords.oracle import oracle_count
+from offsetwords.recurrence import check_divisibility, recurrence_count
 from offsetwords.core import (
-    OffsetVector,
+    as_offset,
     classify_splits,
     count_offset_words,
     count_orders,
@@ -23,16 +25,32 @@ from offsetwords.core import (
 A002893 = [1, 3, 15, 93, 639, 4653, 35169]
 
 
-def test_offset_vector_basics():
-    xi = OffsetVector((3, -2, 0))
-    assert xi.d == 3
-    assert xi.one_norm == 5
-    assert (2 * xi).components == (6, -4, 0)
-    assert OffsetVector((2, -4)).scale_down(2).components == (1, -2)
+def test_as_offset():
+    import numpy as np
+
+    assert as_offset([3, -2, 0]) == (3, -2, 0)
+    assert as_offset(np.array([2, -4])) == (2, -4)
+    assert as_offset((True, 0)) == (1, 0)
+    assert type(as_offset(np.array([1]))[0]) is int
     with pytest.raises(ValueError):
-        OffsetVector(())
-    with pytest.raises(ValueError):
-        OffsetVector((1, 3)).scale_down(2)
+        as_offset(())
+    with pytest.raises(TypeError):
+        as_offset((1.0, 0))
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fn, (2, xi))
+        for fn in (count_offset_words, count_row, oracle_count, check_divisibility)
+        for xi in ((0.7, 0), ("1", 0))
+    ]
+    + [(recurrence_count, (2, (1, 0, 0), (1.9,)))],
+)
+def test_non_integer_input_is_refused(fn, args):
+    # truncating each component to an int would answer for another offset or split
+    with pytest.raises(TypeError):
+        fn(*args)
 
 
 def test_sign_split():
@@ -208,15 +226,17 @@ def test_classify_splits_examples():
     labels = classify_splits((1, 3, 1, 2), 3)
     assert len(labels) == 5
     assert labels[2].order == 1
-    assert labels[2].offset.components == (0, -1, 1)
-    assert classify_splits((), 3) == [(0, OffsetVector((0, 0, 0)))]
-    assert [(l.order, l.offset.components) for l in classify_splits((1, 1), 2)] == [
+    assert labels[2].offset == (0, -1, 1)
+    assert classify_splits((), 3) == [(0, (0, 0, 0))]
+    assert classify_splits((1, 1), 2) == [
         (0, (-2, 0)),
         (1, (0, 0)),
         (0, (2, 0)),
     ]
     with pytest.raises(ValueError):
         classify_splits((1, 4), 3)
+    with pytest.raises(ValueError):
+        classify_splits((), 0)
 
 
 def test_classify_splits_orders_are_integral():
@@ -227,7 +247,7 @@ def test_classify_splits_orders_are_integral():
         labels = classify_splits(word, d)
         assert len(labels) == len(word) + 1
         # offsets are pairwise distinct: the split point is recoverable
-        assert len({l.offset.components for l in labels}) == len(labels)
+        assert len({l.offset for l in labels}) == len(labels)
         for label in labels:
             assert label.order >= 0
-            assert 2 * label.order + label.offset.one_norm == len(word)
+            assert 2 * label.order + sum(map(abs, label.offset)) == len(word)

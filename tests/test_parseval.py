@@ -130,6 +130,17 @@ def test_cap_refusal():
         pair_roster(2, 18)
 
 
+def test_negative_order_is_refused_naming_k():
+    message = "^pair order k must be nonnegative, got k = -1$"
+    for check in (
+        lambda: parseval_lhs(2, -1),
+        lambda: parseval_rhs_series(2, -1),
+        lambda: parseval_numeric_check(2, 0.1, k_max=-1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
 def test_numeric_check():
     chk = parseval_numeric_check(2, 0.0)
     assert chk.lhs == 1.0 and abs(chk.rhs - 1.0) < 1e-12

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from offsetwords.core import count_offset_words, multinomial, sign_split
 from offsetwords.recurrence import (
-    AlphabetSplit,
     check_divisibility,
     divisibility_modulus,
     recurrence_count,
@@ -12,7 +11,7 @@ from offsetwords.recurrence import (
 
 
 def test_recurrence_examples():
-    assert recurrence_count(2, (0, 0, 0), AlphabetSplit((1,))) == 15
+    assert recurrence_count(2, (0, 0, 0), (1,)) == 15
     assert recurrence_count(2, (1, 1), (1,)) == 20
     for xi in ((1, -2), (0, 3, 0)):
         plus, minus = sign_split(xi)
