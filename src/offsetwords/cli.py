@@ -268,6 +268,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # exact counts are printed in full: lift Python's cap on int-to-decimal
+    # digits (3.10.7+, 3.11) for this command only, and restore it after
+    digit_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args, budget)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -281,6 +286,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

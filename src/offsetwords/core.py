@@ -5,8 +5,11 @@ alphabet [1:d] of length 2n + ||xi||_1 whose two halves have Parikh vectors
 differing by exactly xi.  Abelian squares are the xi = 0 case.  Counts are
 obtained by summing products of multinomial coefficients over the weak
 compositions of n into d parts, or, for whole rows and constant offsets, by
-folding the split-alphabet recurrence over groups of equal letters;
-everything here is exact integer arithmetic.
+folding the split-alphabet recurrence over groups of equal letters.  The
+fold's merge of two single letters is the closed form
+C(2s + ||xi_A||_1, s + p_a + m_b), the count of offset words over a
+two-letter alphabet (Vandermonde's identity, see _merge); everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -145,11 +148,12 @@ def _composition_term(nu: tuple, plus: tuple, minus: tuple) -> BigCount:
 
 class _Row(NamedTuple):
     """Counts w_A(0..n) of a sub-alphabet A, with the sums P = |xi_A^+| and
-    M = |xi_A^-| of its offset parts."""
+    M = |xi_A^-| of its offset parts; ``letter`` marks a one-letter A."""
 
     counts: list
     plus: int
     minus: int
+    letter: bool = False
 
 
 def _binomials(top: int, low: int, count: int) -> list:
@@ -170,9 +174,19 @@ def _merge(a: _Row, b: _Row, orders) -> _Row:
     equal, so the terms below s/2 are summed and doubled and the middle term
     of an even s is added once.  When the plus and minus parts coincide
     (P = M and P_A = M_A) the two binomial weights are one list.
+
+    Two single letters a = (p_a, m_a) and b = (p_b, m_b), a square among
+    them, have w_A = w_B = 1, and C(s+M, i+m_a) = C(s+M, s-i+m_b), so by
+    Vandermonde's identity the sum is the one binomial
+    C(2s+P+M, s+p_a+m_b) at each order.  The identity sums over all
+    integers i; a term is nonzero only for -min(p_a, m_a) <= i <=
+    s + min(p_b, m_b), and a letter's sign split has min(p, m) = 0, so
+    those are exactly the terms 0 <= i <= s above.
     """
     plus = a.plus + b.plus
     minus = a.minus + b.minus
+    if a.letter and b.letter:
+        return _Row([math.comb(2 * s + plus + minus, s + a.plus + b.minus) for s in orders], plus, minus)
     x, y = a.counts, b.counts
     square = a is b
     shared = plus == minus and a.plus == a.minus
@@ -202,7 +216,11 @@ def count_orders(orders: Sequence[int], xi) -> list:
     factors, so the last merge computes only the orders asked for.  Each
     square sums half its terms, by the symmetry C(s+2p, i+p) = C(s+2p, s-i+p),
     and a group whose plus and minus parts are equal shares one list of
-    binomial weights between them (see _merge).
+    binomial weights between them.  A merge of two single letters is one
+    binomial per order by Vandermonde's identity (see _merge).  That covers
+    the first square of every group of four or more letters and the first
+    merge of two one-letter factors, so every d = 2 row, and the first merge
+    of every fold, costs O(n) binomials instead of O(n^2) products.
     """
     orders = list(orders)
     if any(s < 0 for s in orders):
@@ -216,7 +234,7 @@ def count_orders(orders: Sequence[int], xi) -> list:
     full = range(top + 1)
     factors = []
     for (p, q), k in sorted(Counter(zip(plus, minus)).items()):
-        base = _Row([1] * (top + 1), p, q)  # one letter: w(s) = 1 at every order
+        base = _Row([1] * (top + 1), p, q, True)  # one letter: w(s) = 1 at every order
         while k > 1:
             if k & 1:
                 factors.append(base)

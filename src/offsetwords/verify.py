@@ -83,6 +83,23 @@ def suite_oracle() -> list:
             f"worst relative error {worst_rel:.3e}",
         )
     )
+    # two letters: the fold merges them in closed form, so hold that binomial
+    # to brute force directly, without the fold
+    two_letter = [(n, xi) for xi in offsets_with_norm_at_most(2, 4) for n in range(7)]
+    two_letter_bad = []
+    for n, xi in two_letter:
+        (p1, _), (_, m2) = sign_split(xi)
+        if oracle_count(n, xi) != math.comb(2 * n + sum(map(abs, xi)), n + p1 + m2):
+            two_letter_bad.append((n, xi))
+    results.append(
+        _result(
+            "oracle",
+            "d=2 closed form C(2n+|xi|, n+xi_1^+ +xi_2^-) (n<=6, |xi|<=4)",
+            not two_letter_bad,
+            f"{len(two_letter)} (n, xi) pairs"
+            + (f", {len(two_letter_bad)} mismatches" if two_letter_bad else ", all equal"),
+        )
+    )
     # every string carries length+1 labels: summing counts over the label set
     # of a fixed length L must give (L+1) d^L
     mass_ok = True

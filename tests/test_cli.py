@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -51,6 +52,23 @@ def test_count_workers_flag(capsys):
     capsys.readouterr()
     code, out, _ = run_cli(capsys, "count", "--n", "30", "--xi", "1,-1")
     assert code == 0 and out == f"{count_offset_words(30, (1, -1))}\n"
+
+
+def test_count_prints_exact_integers_of_any_size(capsys):
+    # w(10000, (0, 0)) = C(20000, 10000) has 6,019 digits, more than Python's
+    # default cap (4,300) on int-to-decimal conversion
+    has_cap = hasattr(sys, "get_int_max_str_digits")
+    cap = sys.get_int_max_str_digits() if has_cap else None
+    code, out, err = run_cli(capsys, "count", "--n", "10000", "--xi", "0,0")
+    assert code == 0 and err == "" and len(out) == 6019 + 1
+    if has_cap:
+        assert sys.get_int_max_str_digits() == cap  # lifted for the command only
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{math.comb(20000, 10000)}\n"
+    finally:
+        if has_cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def test_oracle_listing(capsys):

@@ -195,6 +195,75 @@ def test_count_orders_reads_the_row_in_request_order(xi, orders):
         count_row(-1, xi)
 
 
+def explicit_merge(a, b, s):
+    """The split-alphabet recurrence at order s, summed term by term."""
+    plus, minus = a.plus + b.plus, a.minus + b.minus
+    return sum(
+        math.comb(s + plus, i + a.plus) * math.comb(s + minus, i + a.minus) * a.counts[i] * b.counts[s - i]
+        for i in range(s + 1)
+    )
+
+
+one_letter = st.one_of(st.tuples(st.integers(0, 4), st.just(0)), st.tuples(st.just(0), st.integers(0, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=one_letter, b=one_letter, square=st.booleans(), orders=st.lists(st.integers(0, 60), max_size=6))
+def test_letter_merge_is_the_double_sum(a, b, square, orders):
+    # two single letters merge in closed form (Vandermonde); the double sum
+    # it replaces is the reference, for the square a is b as well
+    row_a = core._Row([1] * 61, *a, True)
+    row_b = row_a if square else core._Row([1] * 61, *b, True)
+    merged = core._merge(row_a, row_b, orders)
+    assert merged.counts == [explicit_merge(row_a, row_b, s) for s in orders]
+    assert merged.plus == row_a.plus + row_b.plus and merged.minus == row_a.minus + row_b.minus
+    assert not merged.letter
+
+
+@pytest.mark.parametrize("xi", [(0, 0), (1, -1), (2, 1), (-3, 0)])
+def test_two_letter_row_matches_composition_sum(xi):
+    # at d = 2 the composition sum has only n + 1 terms, so a whole row to
+    # n = 300 is cheap to check against the fold's closed form
+    assert count_row(300, xi) == [raw_count(n, xi) for n in range(301)]
+
+
+@pytest.fixture
+def quadratic_merges(monkeypatch):
+    """The orders of every _merge call that sums terms (the branch that reads
+    _binomials), in call order: a work count that needs no timing."""
+    merges = []
+    binomial_calls = []
+    merge, binomials = core._merge, core._binomials
+
+    def counted_binomials(*args):
+        binomial_calls.append(None)
+        return binomials(*args)
+
+    def counted_merge(a, b, orders):
+        before = len(binomial_calls)
+        row = merge(a, b, orders)
+        if len(binomial_calls) > before:
+            merges.append(list(orders))
+        return row
+
+    monkeypatch.setattr(core, "_binomials", counted_binomials)
+    monkeypatch.setattr(core, "_merge", counted_merge)
+    return merges
+
+
+def test_fold_work_guard(quadratic_merges):
+    # a return to the O(n^2) sum for two single letters shows here as an
+    # extra quadratic merge
+    for xi in [(0, 0), (1, -1), (2, 1), (-3, 0), (0, 4), (3, 3), (-2, -2), (4, -1)]:
+        count_row(40, xi)
+    assert quadratic_merges == []
+    count_orders([100, 200, 300], (1, -1, 2))
+    assert quadratic_merges == [[100, 200, 300]]
+    quadratic_merges.clear()
+    count_orders((260,), (0,) * 4)
+    assert quadratic_merges == [[260]]
+
+
 def test_mutuality():
     assert mutuality((2, 0), (1, 1)) == (1, 0)
     assert mutuality((0, 0), (3, 5)) == (0, 0)
