@@ -6,8 +6,12 @@ sharing an offset class.  A pair at orders (n1, n2) with offset xi lands at
 x^(n1 + n2 + ||xi||_1), i.e. total string length twice the x-power, so no
 fractional powers ever appear.  Four independent routes meet here: the direct
 double sum over counts; the squared spectral expansion, whose x^m coefficient
-is sum_(i+j=m) <Q_i, Q_j> over layers of the spectral walk, so it builds no
-table and never calls the counting kernel; brute-force pair enumeration
+is sum_(i+j=m) <Q_i, Q_j> over layers of the spectral walk, which keeps
+each layer once per symmetry orbit, so the inner product weights every orbit
+by its size; it builds no table and never calls the counting kernel.  The
+direct double sum enumerates its own offset classes (a Counter over
+offsets_with_norm_at_most) rather than share the orbit sizes, so an error in
+the sizes cannot cancel out of the comparison; brute-force pair enumeration
 (oracle module); and abelian squares with two cuts.  Offset-xi words
 u = u1 u2, v = v1 v2 of total length 2k have rho(u1) - rho(u2) = xi =
 rho(v1) - rho(v2), so (u1 v2)(v1 u2) is an abelian square of length 2k, and a
@@ -18,6 +22,7 @@ coefficient is therefore (k+1)^2 w(k, 0_d), read from one constant-offset row.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from itertools import product
 from typing import Iterator, NamedTuple
@@ -27,7 +32,7 @@ from .core import count_row, weak_compositions
 from .errors import BudgetExceededError
 from .oracle import _labelled_words
 from .quadrature import density_square_mean
-from .series import XSeries, _layers, check_table_size
+from .series import XSeries, _negated, _orbit_walk, check_table_size
 
 # Highest series order parseval_numeric_check accepts; a fixed limit, not a
 # Budget cap, so no config key or environment variable raises it.
@@ -84,22 +89,34 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
     return XSeries(tuple(coeffs))
 
 
+def _orbit_size(rep: tuple) -> int:
+    """Number of eta in the orbit of a sorted rep under coordinate permutation
+    and global negation: d!/prod(mult!) arrangements, doubled unless the
+    multiset of -rep is that of rep."""
+    size = math.factorial(len(rep)) // math.prod(map(math.factorial, map(rep.count, set(rep))))
+    return 2 * size if sum(rep) or rep != _negated(rep) else size
+
+
 def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Same coefficients obtained by squaring the spectral-density expansion.
 
     The x^m coefficient of sum_eta row_eta(x)^2 is sum_(i+j=m) <Q_i, Q_j>,
-    with Q_n the x^n layer of the length-2k_max walk (``series._layers``), so
-    the layers are kept and multiplied pairwise; pairs i < j are summed once
-    and doubled.  Surviving exponents are even and are halved to land on the
-    common index.  ``budget.parseval_k_cap`` bounds k_max.
+    with Q_n the x^n layer of the length-2k_max walk (``series._orbit_walk``).
+    The walk keeps each layer once per orbit, so <Q_i, Q_j> is
+    sum_o size(o) Q_i[o] Q_j[o], weighted by ``_orbit_size``; pairs i < j
+    are summed once and doubled.  Surviving exponents are even and are
+    halved to land on the common index.  ``budget.parseval_k_cap`` bounds
+    k_max.
     """
     _check_order(k_max)
     budget.check_parseval(k_max)
-    layers = list(_layers(d, 1, 2 * k_max))
+    reps, layers = _orbit_walk(d, 2 * k_max)
+    sizes = list(map(_orbit_size, reps))
     acc = [0] * len(layers)
     for i, small in enumerate(layers[: k_max + 1]):
+        weighted = list(map(operator.mul, sizes, small))
         for j, big in enumerate(layers[i : len(layers) - i], i):
-            dot = sum(c * big[key] for key, c in small.items() if key in big)
+            dot = sum(map(operator.mul, weighted, big))
             acc[i + j] += dot if i == j else 2 * dot
     for k in range(1, len(acc), 2):
         if acc[k] != 0:

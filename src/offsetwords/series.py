@@ -7,13 +7,18 @@ Collecting the terms by their z-exponent vector gives a table whose entry at
 xi is an ordinary power series in x; those entries are exactly the generating
 functions of the offset-word counts.  The table is built in integers by a
 layer recurrence that never consults the counting kernel, so it stays an
-independent route.
+independent route.  Every layer is invariant under permuting coordinates and
+under global negation, so the recurrence runs once per orbit, at the
+representative min(sorted eta, sorted -eta), and the table writes each
+orbit's row under every member of the orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,11 +30,13 @@ from .errors import BudgetExceededError
 # d=6, T=12 fit, d=8, T=24 does not.
 _TABLE_CELL_CAP = 10_000_000
 
+_EXACT_TYPES = (int, Fraction)
+
 
 def _exact(v):
     """v itself if it is an int or a Fraction; anything else, floats included,
     raises TypeError."""
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, _EXACT_TYPES):
         return v
     raise TypeError(f"expected exact coefficient, got {type(v).__name__}")
 
@@ -50,7 +57,10 @@ class XSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not all(map(isinstance, self.coeffs, itertools.repeat(_EXACT_TYPES))):
+            for c in self.coeffs:
+                _exact(c)  # raises on the first inexact coefficient
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 
@@ -210,15 +220,6 @@ class LaurentTable:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _shift_add(layer: dict, steps: list, out: dict) -> dict:
-    """Add layer * (sum of the monomials whose packed exponents are steps) into out."""
-    for key, c in layer.items():
-        for step in steps:
-            k = key + step
-            out[k] = out.get(k, 0) + c
-    return out
-
-
 def lattice_points(d: int, radius: int) -> int:
     """Number of eta in Z^d with ||eta||_1 <= radius."""
     return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
@@ -235,58 +236,147 @@ def check_table_size(d: int, truncation: int) -> None:
         )
 
 
-def _check_expansion_args(d: int, r: int, truncation: int) -> None:
-    """Refuse a dimension, power-sum exponent or truncation no expansion takes."""
+def _check_expansion_args(d, r, truncation) -> tuple:
+    """Return (d, r, truncation) as ints; refuse a non-integer with TypeError
+    and a dimension, power-sum exponent or truncation no expansion takes with
+    ValueError."""
+    d, r, truncation = map(operator.index, (d, r, truncation))
     if d < 1 or r < 1 or truncation < 0:
         raise ValueError("need d >= 1, r >= 1, truncation >= 0")
+    return d, r, truncation
 
 
-def _layers(d: int, r: int, truncation: int):
-    """Yield the x^n layers Q_0, ..., Q_truncation of the spectral density of
-    1 - x(z_1^r+...+z_d^r) one at a time, each as {packed eta: int}.
+def _negated(t: tuple) -> tuple:
+    """The sorted form of -t for a sorted tuple t."""
+    return tuple(map(operator.neg, t[::-1]))
 
-    Q_n = sum_k S(z^r)^k S(z^-r)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
+
+def _sorted_ball(d: int, radius: int) -> list:
+    """Every nondecreasing eta in Z^d with ||eta||_1 <= radius, as (eta, norm),
+    in lexicographic order.  A prefix is extended only by values that leave
+    room for the rest: 0 after a value <= 0, the value itself after one > 0."""
+    ball = [((), 0)]
+    for left in range(d, 0, -1):
+        ball = [
+            (prefix + (v,), norm + abs(v))
+            for prefix, norm in ball
+            for v in range(max(prefix[-1] if prefix else -radius, norm - radius), (radius - norm) // left + 1)
+        ]
+    return ball
+
+
+def _orbit_walk(d: int, truncation: int) -> tuple:
+    """The x^n layers Q_0, ..., Q_truncation of the spectral density of
+    1 - x(z_1+...+z_d), on orbits of coordinate permutation and negation.
+
+    Q_n = sum_k S(z)^k S(z^-1)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
     pair sum of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n
-    with r*(kappa - kappa') = eta, built as Q_n = S(z^r) Q_(n-1) + S(z^-r)^n.  eta
-    is packed as sum_j (eta_j + reach) base^j, unique since |eta_j| <= reach =
-    r*truncation and base = 2 reach + 1.  Refuses up front a table above the
-    cell cap of ``check_table_size``.
+    with kappa - kappa' = eta, and Q_n = S(z) Q_(n-1) + S(z^-1)^n.  Every layer
+    is invariant under permuting coordinates and under global negation, so it
+    is kept once per orbit, at rep = min(sorted eta, sorted -eta):
+
+        Q_n[rep] = sum_j Q_(n-1)[rep - e_j] + [rep <= 0, ||rep||_1 = n] multinomial(-rep).
+
+    The sum over coordinates is the sum over distinct values v of rep of
+    mult(v) Q_(n-1) at the orbit of rep - e_v, where e_v lowers the first
+    occurrence of v, so the tuple stays sorted; both sorted forms of an orbit
+    are indexed, so each edge is one dict lookup, and an edge that leaves
+    the ball ||eta||_1 <= truncation points at a slot that is always 0.  Returns (reps, layers):
+    orbits are ordered by norm, and layers[n][o] is Q_n at reps[o] for the
+    orbits of norm <= n, beyond which Q_n vanishes.  Refuses up front a
+    table above the cell cap of ``check_table_size``; never calls the
+    counting kernel.
     """
-    _check_expansion_args(d, r, truncation)
+    d, _, truncation = _check_expansion_args(d, 1, truncation)
     check_table_size(d, truncation)
-    reach = r * truncation
-    base = 2 * reach + 1
-    up = [r * base**j for j in range(d)]  # z_j^(+-r) adds +-r base^j
-    down = [-step for step in up]
-    layer = power = {sum(reach * base**j for j in range(d)): 1}  # Q_n, S(z^-r)^n
-    yield layer
-    for _ in range(truncation):
-        power = _shift_add(power, down, {})
-        layer = _shift_add(layer, up, dict(power))
-        yield layer
+    ball = sorted(_sorted_ball(d, truncation), key=operator.itemgetter(1))
+    reps, index, ends = [], {}, [0] * (truncation + 1)
+    for eta, norm in ball:
+        if eta not in index:
+            index[eta] = index[_negated(eta)] = len(reps)
+            reps.append(eta)
+            ends[norm] = len(reps)
+    outside = len(reps)
+    steps = [
+        [index.get(rep[:i] + (rep[i] - 1,) + rep[i + 1 :], outside) for rep in reps for i in [rep.index(rep[j])]]
+        for j in range(d)
+    ]
+    layers = [[1]]  # Q_0 = 1 at eta = 0, the only orbit of norm 0
+    for n in range(1, truncation + 1):
+        prev = layers[-1]
+        read = (prev + [0] * (outside + 1 - len(prev))).__getitem__
+        layer = map(read, steps[0][: ends[n]])  # the first step's cut stops the sum
+        for step in steps[1:]:
+            layer = map(operator.add, layer, map(read, step))
+        layer = list(layer)
+        for o in range(ends[n - 1], ends[n]):  # the orbits of norm n: S(z^-1)^n
+            if reps[o][-1] <= 0:
+                layer[o] += math.factorial(n) // math.prod(map(math.factorial, _negated(reps[o])))
+        layers.append(layer)
+    return reps, layers
+
+
+def _distinct_permutations(values: tuple):
+    """Each distinct arrangement of a sorted tuple, once."""
+    if len(values) < 2:
+        yield values
+        return
+    for i, v in enumerate(values):
+        if i == 0 or values[i - 1] != v:
+            for rest in _distinct_permutations(values[:i] + values[i + 1 :]):
+                yield (v,) + rest
+
+
+def _gatherer(indices: list):
+    """itemgetter(*indices) that returns a tuple for a single index too."""
+    get = operator.itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
+
+
+def _orbit_members(d: int):
+    """A function listing the members of an orbit from its representative.
+
+    A member is a distinct arrangement of the nonzero entries of rep or of
+    -rep, placed on one support of that size among the d coordinates.  The
+    gatherers that build members depend only on the pattern of repeats in
+    the nonzero entries, so the first side with a pattern turns it into one
+    gatherer per member, and a member then costs one gatherer call:
+    O(members) work, not d! per orbit.
+    """
+    scatters = {}
+
+    def members(rep: tuple) -> list:
+        nonzero = tuple([c for c in rep if c])
+        negated = _negated(nonzero)
+        out = []
+        for side in (nonzero,) if negated == nonzero else (nonzero, negated):
+            pattern, s = tuple(map(side.index, side)), len(side)
+            if pattern not in scatters:
+                spread = [
+                    _gatherer([support.index(j) if j in support else s for j in range(d)])
+                    for support in itertools.combinations(range(d), s)
+                ]
+                scatters[pattern] = [_gatherer(put(a + (s,))) for a in _distinct_permutations(pattern) for put in spread]
+            out += [put(side + (0,)) for put in scatters[pattern]]
+        return out
+
+    return members
 
 
 def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     """Expand the spectral density of 1 - x(z_1^r+...+z_d^r) through x^truncation.
 
-    The x^n coefficient at exponent eta is the z^eta coefficient of the layer
-    Q_n of ``_layers``, kept as an int.  Rows repeat across exponents equal
-    under permutation and negation, so each distinct row is wrapped once and
-    the frozen XSeries is shared by every exponent that carries it.
+    The x^n coefficient at exponent r*eta is the layer Q_n of ``_orbit_walk``
+    at the orbit of eta, kept as an int: the density in z^r is the r = 1
+    density with every exponent scaled by r.  Each orbit's row is wrapped
+    once, and the frozen XSeries is written under every member of the orbit.
     """
-    rows = {}
-    for n, layer in enumerate(_layers(d, r, truncation)):
-        for key, c in layer.items():
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0] * (truncation + 1)
-            row[n] = c
-    reach = r * truncation  # unpack: digit j of a key in base 2 reach + 1 is eta_j + reach
-    base = 2 * reach + 1
-    powers = [base**j for j in range(d)]
-    rows = {tuple([key // p % base - reach for p in powers]): tuple(row) for key, row in rows.items()}
-    shared = {row: XSeries(row) for row in set(rows.values())}
-    entries = {eta: shared[row] for eta, row in rows.items()}
+    d, r, truncation = _check_expansion_args(d, r, truncation)
+    reps, layers = _orbit_walk(d, truncation)
+    members = _orbit_members(d)
+    entries = {}
+    for rep, row in zip(reps, itertools.zip_longest(*layers, fillvalue=0)):
+        entries.update(dict.fromkeys(members(tuple([r * c for c in rep])), XSeries(row)))
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)
 
 
@@ -298,9 +388,9 @@ def fourier_coefficient_series(xi, d: int, r: int, truncation: int) -> XSeries:
     counts words by length).
     """
     xi = as_offset(xi)
+    d, r, truncation = _check_expansion_args(d, r, truncation)
     if len(xi) != d:
         raise ValueError(f"xi has dimension {len(xi)}, expected {d}")
-    _check_expansion_args(d, r, truncation)
     if any(c % r for c in xi):
         return XSeries.zero(truncation)
     eta = tuple(c // r for c in xi)

@@ -60,19 +60,22 @@ def test_rhs_never_counts_through_core(monkeypatch):
 
 def test_odd_parity_term_is_refused(monkeypatch):
     # Q_1 holds only odd |eta|_1; a stray term at eta = 0 meets Q_0 at x^1
-    def odd_walk(d, r, truncation):
-        layers = series._layers(d, r, truncation)
-        first = next(layers)
-        yield first
-        second = dict(next(layers))
-        (origin,) = first
-        second[origin] = 1
-        yield second
-        yield from layers
+    def odd_walk(d, truncation):
+        reps, layers = series._orbit_walk(d, truncation)
+        layers[1][reps.index((0,) * d)] += 1
+        return reps, layers
 
-    monkeypatch.setattr(parseval, "_layers", odd_walk)
+    monkeypatch.setattr(parseval, "_orbit_walk", odd_walk)
     with pytest.raises(ArithmeticError, match="odd-length coefficient 1 should vanish, got 2"):
         parseval_rhs_series(2, 3)
+
+
+def test_rhs_matches_lhs_at_larger_d():
+    # the squared side weights each orbit by its size; parseval_lhs counts its
+    # classes separately, so a wrong size cannot cancel out of the comparison
+    for d in (5, 6):
+        for k in range(4):
+            assert parseval_rhs_series(d, k).coeffs == parseval_lhs(d, k).coeffs, (d, k)
 
 
 def per_offset_lhs(d, k_max):

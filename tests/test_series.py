@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetwords import series
 from offsetwords.core import count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
 from offsetwords.asymptotics import normalized_bessel_series
-from offsetwords.parseval import offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
+from offsetwords.parseval import _orbit_size, offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
 from offsetwords.errors import BudgetExceededError
 from offsetwords.series import (
     LaurentTable,
@@ -125,7 +127,7 @@ def pair_sum_table(d, r, truncation):
     return table
 
 
-@pytest.mark.parametrize("d,truncation", [(1, 20), (2, 10), (3, 7), (4, 6)])
+@pytest.mark.parametrize("d,truncation", [(1, 20), (2, 10), (3, 7), (4, 6), (5, 4), (6, 3)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_spectral_series_matches_pair_sum(d, r, truncation):
     expected = pair_sum_table(d, r, truncation)
@@ -145,13 +147,86 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
     check_table_size(6, 12)  # 4.8M cells
     with pytest.raises(BudgetExceededError, match="cells"):
         check_table_size(8, 24)
-    # the walk consults the cap before its first step; d=2, T=10 has 221 * 11 cells
+    # the walk consults the cap before its first step, the enumeration of the
+    # ball; d=2, T=10 has 221 * 11 cells
     monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2000)
     with monkeypatch.context() as patched:
-        patched.setattr(series, "_shift_add", lambda *args: pytest.fail("walk started past the cap"))
+        patched.setattr(series, "_sorted_ball", lambda *args: pytest.fail("walk started past the cap"))
         with pytest.raises(BudgetExceededError):
             spectral_series(2, 1, 10)
+        with pytest.raises(BudgetExceededError):
+            parseval_rhs_series(2, 5)
     assert len(spectral_series(2, 1, 9).entries) == lattice_points(2, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), truncation=st.integers(0, 8))
+def test_orbits_partition_the_ball(d, truncation):
+    reps, layers = series._orbit_walk(d, truncation)
+    members = series._orbit_members(d)
+    orbits = [members(rep) for rep in reps]
+    ball = list(offsets_with_norm_at_most(d, truncation))
+    # every member lies in the orbit of its representative, and no exponent
+    # falls in two orbits or in none
+    for rep, orbit in zip(reps, orbits):
+        assert len(set(orbit)) == len(orbit) == _orbit_size(rep)
+        for eta in orbit:
+            assert min(tuple(sorted(eta)), tuple(sorted(-c for c in eta))) == rep
+    assert sorted(eta for orbit in orbits for eta in orbit) == sorted(ball)
+    assert sum(map(_orbit_size, reps)) == lattice_points(d, truncation) == len(ball)
+    # layer n lists the orbits of norm <= n, which come first
+    norms = [sum(map(abs, rep)) for rep in reps]
+    assert norms == sorted(norms)
+    assert [len(layer) for layer in layers] == [sum(c <= n for c in norms) for n in range(truncation + 1)]
+
+
+def test_orbit_work_guard(monkeypatch):
+    # the walk fills one slot per orbit, and the table expands each orbit once
+    # into exactly its members: a return to d! arrangements per orbit, or to
+    # one row per exponent, changes these counts
+    orbits = {(2, 24): 313, (3, 16): 576, (4, 10): 296, (6, 8): 207, (10, 4): 21}
+    for (d, truncation), count in orbits.items():
+        reps, layers = series._orbit_walk(d, truncation)
+        assert len(reps) == len(layers[-1]) == count, (d, truncation)
+    generated = []
+    orbit_members = series._orbit_members
+
+    def counting_members(d):
+        members = orbit_members(d)
+
+        def spy(rep):
+            out = members(rep)
+            generated.append(len(out))
+            return out
+
+        return spy
+
+    arranged = []
+    distinct_permutations = series._distinct_permutations
+
+    def counting_permutations(values):
+        arranged.append(len(values))
+        return distinct_permutations(values)
+
+    monkeypatch.setattr(series, "_orbit_members", counting_members)
+    monkeypatch.setattr(series, "_distinct_permutations", counting_permutations)
+    table = spectral_series(10, 1, 4)
+    assert len(generated) == 21
+    assert sum(generated) == len(table.entries) == lattice_points(10, 4) == 8361
+    # only nonzero entries are arranged (at most T = 4 of them), never the zeros
+    assert arranged and max(arranged) <= 4
+
+
+def test_non_integer_arguments_are_refused():
+    for args in ((2, 1.5, 2), (2.0, 1, 2), (2, 1, 2.0), (2, "1", 2)):
+        with pytest.raises(TypeError):
+            spectral_series(*args)
+    with pytest.raises(TypeError):
+        fourier_coefficient_series((1, 0), 2, 1.5, 4)
+    with pytest.raises(TypeError):
+        fourier_coefficient_series((1, 0), 2, 1, 4.0)
+    with pytest.raises(TypeError):
+        parseval_rhs_series(2.0, 2)
 
 
 def test_extraction_consistency(suite_runs):
