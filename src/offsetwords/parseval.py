@@ -4,19 +4,24 @@ Summing the squared by-length generating functions over every offset xi gives
 the generating function, by half total length, for ordered pairs of words
 sharing an offset class.  A pair at orders (n1, n2) with offset xi lands at
 x^(n1 + n2 + ||xi||_1), i.e. total string length twice the x-power, so no
-fractional powers ever appear.  Four independent routes meet here: the direct
-double sum over counts; the squared spectral expansion, whose x^m coefficient
-is sum_(i+j=m) <Q_i, Q_j> over layers of the spectral walk, which keeps
-each layer once per symmetry orbit, so the inner product weights every orbit
-by its size; it builds no table and never calls the counting kernel.  The
-direct double sum enumerates its own offset classes (a Counter over
-offsets_with_norm_at_most) rather than share the orbit sizes, so an error in
-the sizes cannot cancel out of the comparison; brute-force pair enumeration
-(oracle module); and abelian squares with two cuts.  Offset-xi words
-u = u1 u2, v = v1 v2 of total length 2k have rho(u1) - rho(u2) = xi =
-rho(v1) - rho(v2), so (u1 v2)(v1 u2) is an abelian square of length 2k, and a
-cut in each half gives back u1, v2, v1, u2 and the shared offset.  The x^k
-coefficient is therefore (k+1)^2 w(k, 0_d), read from one constant-offset row.
+fractional powers ever appear.  Four independent routes meet here:
+
+- the direct double sum over counts (parseval_lhs);
+- the squared spectral expansion (parseval_rhs_series), whose x^m
+  coefficient is sum_(i+j=m) <Q_i, Q_j> over layers of the spectral walk; the
+  walk keeps each layer once per symmetry orbit, so the inner product weights
+  every orbit by its size, and it builds no table and never calls the
+  counting kernel;
+- brute-force pair enumeration (oracle module);
+- abelian squares with two cuts.  Offset-xi words u = u1 u2, v = v1 v2 of
+  total length 2k have rho(u1) - rho(u2) = xi = rho(v1) - rho(v2), so
+  (u1 v2)(v1 u2) is an abelian square of length 2k, and a cut in each half
+  gives back u1, v2, v1, u2 and the shared offset.  The x^k coefficient is
+  therefore (k+1)^2 w(k, 0_d), read from one constant-offset row.
+
+The direct double sum counts its own offset classes (a Counter over
+offsets_with_norm_at_most) rather than share the walk's orbit sizes, so an
+error in the sizes cannot cancel out of the comparison of the first two.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .core import count_row, weak_compositions
 from .errors import BudgetExceededError
 from .oracle import _labelled_words
 from .quadrature import density_square_mean
-from .series import XSeries, _negated, _orbit_walk, check_table_size
+from .series import XSeries, _orbit_plan, _orbit_walk, check_table_size
 
 # Highest series order parseval_numeric_check accepts; a fixed limit, not a
 # Budget cap, so no config key or environment variable raises it.
@@ -64,20 +69,27 @@ def _check_order(k_max: int) -> None:
         raise ValueError(f"pair order k must be nonnegative, got k = {k_max}")
 
 
+def _offset_classes(d: int, k_max: int) -> Counter:
+    """The class (_canonical) of every xi with ||xi||_1 <= k_max, with the
+    number of offsets in it, counted one offset at a time."""
+    return Counter(_canonical(xi) for xi in offsets_with_norm_at_most(d, k_max))
+
+
 def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Coefficient of x^k: sum over xi and n1+n2+||xi||_1 = k of w_(n1,xi) w_(n2,xi).
 
     Counts ordered pairs of offset-xi words with total length 2k, summed over
     xi with multiplicity.  Counts are invariant under coordinate permutation
     and global negation, so the pair sum runs once per class (_canonical) and
-    is scaled by the class size.  ``budget.parseval_k_cap`` bounds k_max, and
-    the cell cap of the length-2k walk that parseval_rhs_series makes is
-    checked before anything is counted.
+    is scaled by the class size, which ``_offset_classes`` counts on its own.
+    ``budget.parseval_k_cap`` bounds k_max, and the cell cap of the
+    length-2k walk that parseval_rhs_series makes is checked before anything
+    is counted.
     """
     _check_order(k_max)
     budget.check_parseval(k_max)
     check_table_size(d, 2 * k_max)
-    classes = Counter(_canonical(xi) for xi in offsets_with_norm_at_most(d, k_max))
+    classes = _offset_classes(d, k_max)
     coeffs = [0] * (k_max + 1)
     for xi, size in classes.items():
         norm = sum(abs(c) for c in xi)
@@ -89,29 +101,21 @@ def parseval_lhs(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSer
     return XSeries(tuple(coeffs))
 
 
-def _orbit_size(rep: tuple) -> int:
-    """Number of eta in the orbit of a sorted rep under coordinate permutation
-    and global negation: d!/prod(mult!) arrangements, doubled unless the
-    multiset of -rep is that of rep."""
-    size = math.factorial(len(rep)) // math.prod(map(math.factorial, map(rep.count, set(rep))))
-    return 2 * size if sum(rep) or rep != _negated(rep) else size
-
-
 def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) -> XSeries:
     """Same coefficients obtained by squaring the spectral-density expansion.
 
     The x^m coefficient of sum_eta row_eta(x)^2 is sum_(i+j=m) <Q_i, Q_j>,
     with Q_n the x^n layer of the length-2k_max walk (``series._orbit_walk``).
     The walk keeps each layer once per orbit, so <Q_i, Q_j> is
-    sum_o size(o) Q_i[o] Q_j[o], weighted by ``_orbit_size``; pairs i < j
-    are summed once and doubled.  Surviving exponents are even and are
-    halved to land on the common index.  ``budget.parseval_k_cap`` bounds
-    k_max.
+    sum_o size(o) Q_i[o] Q_j[o], with the orbit sizes read from the walk's
+    plan (``series._orbit_plan``); pairs i < j are summed once and doubled.
+    Surviving exponents are even and are halved to land on the common
+    index.  ``budget.parseval_k_cap`` bounds k_max.
     """
     _check_order(k_max)
     budget.check_parseval(k_max)
     reps, layers = _orbit_walk(d, 2 * k_max)
-    sizes = list(map(_orbit_size, reps))
+    sizes = _orbit_plan(d, 2 * k_max).sizes[: len(reps)]
     acc = [0] * len(layers)
     for i, small in enumerate(layers[: k_max + 1]):
         weighted = list(map(operator.mul, sizes, small))

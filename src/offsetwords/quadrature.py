@@ -90,7 +90,7 @@ class TorusGrid:
         work = np.asarray(values, dtype=complex)
         for component in xi:
             phase = np.exp(-1j * component * self.axis()) / M
-            work = np.tensordot(phase, work, axes=(0, 0))
+            work = (phase.reshape((M,) + (1,) * (work.ndim - 1)) * work).sum(axis=0)
         return complex(work)
 
 

@@ -11,6 +11,16 @@ independent route.  Every layer is invariant under permuting coordinates and
 under global negation, so the recurrence runs once per orbit, at the
 representative min(sorted eta, sorted -eta), and the table writes each
 orbit's row under every member of the orbit.
+
+The orbits, the recurrence's edges between them, the orbit sizes and the
+gatherers that list an orbit's members depend only on d and the truncation T,
+so they form one plan per alphabet size (``_orbit_plan``): tuples, plus the
+gatherers, which are added by pattern as tables first meet it.  It is
+built at the largest T asked so far and read as a prefix by every smaller T:
+orbits are ordered by norm and, within a norm, by an order that does not
+depend on T (``_orbit_walk`` gives the argument).  Plans are kept for at most
+``_PLAN_CAP`` alphabet sizes, and each is built only after the cell cap
+admits its T.
 """
 
 from __future__ import annotations
@@ -19,9 +29,10 @@ import itertools
 import json
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import as_offset, count_row
 from .errors import BudgetExceededError
@@ -29,6 +40,11 @@ from .errors import BudgetExceededError
 # Cells (exponents times orders) a spectral table may hold: d=3, T=40 and
 # d=6, T=12 fit, d=8, T=24 does not.
 _TABLE_CELL_CAP = 10_000_000
+
+# Alphabet sizes whose orbit plan (_orbit_plan) is kept; a fixed limit, not a
+# Budget cap.  Each plan is bounded by the cell cap it was checked against.
+_PLAN_CAP = 4
+_PLANS = OrderedDict()  # d -> _OrbitPlan, the most recently used last
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -265,55 +281,12 @@ def _sorted_ball(d: int, radius: int) -> list:
     return ball
 
 
-def _orbit_walk(d: int, truncation: int) -> tuple:
-    """The x^n layers Q_0, ..., Q_truncation of the spectral density of
-    1 - x(z_1+...+z_d), on orbits of coordinate permutation and negation.
-
-    Q_n = sum_k S(z)^k S(z^-1)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
-    pair sum of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n
-    with kappa - kappa' = eta, and Q_n = S(z) Q_(n-1) + S(z^-1)^n.  Every layer
-    is invariant under permuting coordinates and under global negation, so it
-    is kept once per orbit, at rep = min(sorted eta, sorted -eta):
-
-        Q_n[rep] = sum_j Q_(n-1)[rep - e_j] + [rep <= 0, ||rep||_1 = n] multinomial(-rep).
-
-    The sum over coordinates is the sum over distinct values v of rep of
-    mult(v) Q_(n-1) at the orbit of rep - e_v, where e_v lowers the first
-    occurrence of v, so the tuple stays sorted; both sorted forms of an orbit
-    are indexed, so each edge is one dict lookup, and an edge that leaves
-    the ball ||eta||_1 <= truncation points at a slot that is always 0.  Returns (reps, layers):
-    orbits are ordered by norm, and layers[n][o] is Q_n at reps[o] for the
-    orbits of norm <= n, beyond which Q_n vanishes.  Refuses up front a
-    table above the cell cap of ``check_table_size``; never calls the
-    counting kernel.
-    """
-    d, _, truncation = _check_expansion_args(d, 1, truncation)
-    check_table_size(d, truncation)
-    ball = sorted(_sorted_ball(d, truncation), key=operator.itemgetter(1))
-    reps, index, ends = [], {}, [0] * (truncation + 1)
-    for eta, norm in ball:
-        if eta not in index:
-            index[eta] = index[_negated(eta)] = len(reps)
-            reps.append(eta)
-            ends[norm] = len(reps)
-    outside = len(reps)
-    steps = [
-        [index.get(rep[:i] + (rep[i] - 1,) + rep[i + 1 :], outside) for rep in reps for i in [rep.index(rep[j])]]
-        for j in range(d)
-    ]
-    layers = [[1]]  # Q_0 = 1 at eta = 0, the only orbit of norm 0
-    for n in range(1, truncation + 1):
-        prev = layers[-1]
-        read = (prev + [0] * (outside + 1 - len(prev))).__getitem__
-        layer = map(read, steps[0][: ends[n]])  # the first step's cut stops the sum
-        for step in steps[1:]:
-            layer = map(operator.add, layer, map(read, step))
-        layer = list(layer)
-        for o in range(ends[n - 1], ends[n]):  # the orbits of norm n: S(z^-1)^n
-            if reps[o][-1] <= 0:
-                layer[o] += math.factorial(n) // math.prod(map(math.factorial, _negated(reps[o])))
-        layers.append(layer)
-    return reps, layers
+def _orbit_size(rep: tuple) -> int:
+    """Number of eta in the orbit of a sorted rep under coordinate permutation
+    and global negation: d!/prod(mult!) arrangements, doubled unless the
+    multiset of -rep is that of rep."""
+    size = math.factorial(len(rep)) // math.prod(map(math.factorial, map(rep.count, set(rep))))
+    return 2 * size if sum(rep) or rep != _negated(rep) else size
 
 
 def _distinct_permutations(values: tuple):
@@ -333,17 +306,16 @@ def _gatherer(indices: list):
     return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
-def _orbit_members(d: int):
+def _orbit_members(d: int, scatters: dict):
     """A function listing the members of an orbit from its representative.
 
     A member is a distinct arrangement of the nonzero entries of rep or of
     -rep, placed on one support of that size among the d coordinates.  The
     gatherers that build members depend only on the pattern of repeats in
     the nonzero entries, so the first side with a pattern turns it into one
-    gatherer per member, and a member then costs one gatherer call:
-    O(members) work, not d! per orbit.
+    gatherer per member, kept in ``scatters`` by pattern, and a member then
+    costs one gatherer call: O(members) work, not d! per orbit.
     """
-    scatters = {}
 
     def members(rep: tuple) -> list:
         nonzero = tuple([c for c in rep if c])
@@ -363,17 +335,125 @@ def _orbit_members(d: int):
     return members
 
 
+class _OrbitPlan(NamedTuple):
+    """What the orbit walk and its readers reuse at one alphabet size
+    (``_orbit_plan``); every field but ``scatters`` is an int or a tuple."""
+
+    truncation: int
+    reps: tuple  # orbit representatives, ordered by norm
+    ends: tuple  # ends[n]: the number of orbits of norm <= n
+    steps: tuple  # steps[j][o]: the orbit of reps[o] - e_(reps[o][j]), or len(reps) off the ball
+    births: tuple  # births[n]: (o, multinomial(-reps[o])) for the orbits of norm n with rep <= 0
+    sizes: tuple  # sizes[o]: _orbit_size(reps[o])
+    scatters: dict  # _orbit_members' gatherers by pattern of repeats, added as tables meet them
+
+
+def _build_plan(d: int, truncation: int) -> _OrbitPlan:
+    """The orbit plan over the ball ||eta||_1 <= truncation."""
+    ball = sorted(_sorted_ball(d, truncation), key=operator.itemgetter(1))
+    reps, index, ends = [], {}, [0] * (truncation + 1)
+    for eta, norm in ball:
+        if eta not in index:
+            index[eta] = index[_negated(eta)] = len(reps)
+            reps.append(eta)
+            ends[norm] = len(reps)
+    outside = len(reps)
+    steps = tuple(
+        tuple([index.get(rep[:i] + (rep[i] - 1,) + rep[i + 1 :], outside) for rep in reps for i in [rep.index(rep[j])]])
+        for j in range(d)
+    )
+    births = tuple(
+        tuple(
+            (o, math.factorial(n) // math.prod(map(math.factorial, _negated(reps[o]))))
+            for o in range(ends[n - 1] if n else 0, ends[n])
+            if reps[o][-1] <= 0
+        )
+        for n in range(truncation + 1)
+    )
+    return _OrbitPlan(truncation, tuple(reps), tuple(ends), steps, births, tuple(map(_orbit_size, reps)), {})
+
+
+def _orbit_plan(d: int, truncation: int) -> _OrbitPlan:
+    """The orbit plan of alphabet size d, covering every norm <= truncation.
+
+    One plan is kept per d, at the largest truncation asked so far; a
+    request at T <= plan.truncation reads its prefix, reps[:ends[T]] and
+    births[:T + 1], and a larger T rebuilds the plan once and replaces it.
+    Plans are kept for at most ``_PLAN_CAP`` alphabet sizes, and the least
+    recently used is dropped.  The cell cap of ``check_table_size`` is
+    checked on every request, before any plan is built.
+    """
+    d, _, truncation = _check_expansion_args(d, 1, truncation)
+    check_table_size(d, truncation)
+    plan = _PLANS.get(d)
+    if plan is None or plan.truncation < truncation:
+        plan = _PLANS[d] = _build_plan(d, truncation)
+    _PLANS.move_to_end(d)
+    if len(_PLANS) > _PLAN_CAP:
+        _PLANS.popitem(last=False)
+    return plan
+
+
+def _orbit_walk(d: int, truncation: int) -> tuple:
+    """The x^n layers Q_0, ..., Q_truncation of the spectral density of
+    1 - x(z_1+...+z_d), on orbits of coordinate permutation and negation.
+
+    Q_n = sum_k S(z)^k S(z^-1)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
+    pair sum of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n
+    with kappa - kappa' = eta, and Q_n = S(z) Q_(n-1) + S(z^-1)^n.  Every layer
+    is invariant under permuting coordinates and under global negation, so it
+    is kept once per orbit, at rep = min(sorted eta, sorted -eta):
+
+        Q_n[rep] = sum_j Q_(n-1)[rep - e_j] + [rep <= 0, ||rep||_1 = n] multinomial(-rep).
+
+    The sum over coordinates is the sum over distinct values v of rep of
+    mult(v) Q_(n-1) at the orbit of rep - e_v, where e_v lowers the first
+    occurrence of v, so the tuple stays sorted.  The orbits, these edges
+    (each one index) and the birth terms depend only on d and the ball's
+    radius, so they come from the plan of ``_orbit_plan`` and only the
+    layer loop runs per call.  Returns (reps, layers): orbits are ordered by
+    norm, and layers[n][o] is Q_n at reps[o] for the orbits of norm <= n,
+    beyond which Q_n vanishes; the layers are fresh lists.
+
+    A plan built at a larger radius gives the same layers.  Its orbits are
+    sorted by norm and, within a norm, by the lexicographic order of the
+    sorted tuples, which does not depend on the radius, so the orbits of
+    norm <= T are the plan's first ends[T] and every index below is the
+    same.  At layer n the walk reads steps only of orbits of norm <= n, and
+    an edge from them reaches norm n + 1 at most: such an orbit, or a slot
+    past the ball, lies beyond Q_(n-1)'s orbits and reads its zero padding
+    whether or not the orbit is in the plan.  Refuses up front a table above
+    the cell cap of ``check_table_size``; never calls the counting kernel.
+    """
+    d, _, truncation = _check_expansion_args(d, 1, truncation)
+    plan = _orbit_plan(d, truncation)
+    steps, ends, outside = plan.steps, plan.ends, len(plan.reps)
+    layers = [[1]]  # Q_0 = 1 at eta = 0, the only orbit of norm 0
+    for n in range(1, truncation + 1):
+        prev = layers[-1]
+        read = (prev + [0] * (outside + 1 - len(prev))).__getitem__
+        layer = map(read, steps[0][: ends[n]])  # the first step's cut stops the sum
+        for step in steps[1:]:
+            layer = map(operator.add, layer, map(read, step))
+        layer = list(layer)
+        for o, birth in plan.births[n]:  # the orbits of norm n: S(z^-1)^n
+            layer[o] += birth
+        layers.append(layer)
+    return plan.reps[: ends[truncation]], layers
+
+
 def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     """Expand the spectral density of 1 - x(z_1^r+...+z_d^r) through x^truncation.
 
     The x^n coefficient at exponent r*eta is the layer Q_n of ``_orbit_walk``
     at the orbit of eta, kept as an int: the density in z^r is the r = 1
     density with every exponent scaled by r.  Each orbit's row is wrapped
-    once, and the frozen XSeries is written under every member of the orbit.
+    once, and the frozen XSeries is written under every member of the orbit,
+    read with the plan's gatherers from the orbit's sides scaled by r.
     """
     d, r, truncation = _check_expansion_args(d, r, truncation)
     reps, layers = _orbit_walk(d, truncation)
-    members = _orbit_members(d)
+    members = _orbit_members(d, _orbit_plan(d, truncation).scatters)
     entries = {}
     for rep, row in zip(reps, itertools.zip_longest(*layers, fillvalue=0)):
         entries.update(dict.fromkeys(members(tuple([r * c for c in rep])), XSeries(row)))

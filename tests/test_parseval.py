@@ -2,6 +2,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -68,6 +69,21 @@ def test_odd_parity_term_is_refused(monkeypatch):
     monkeypatch.setattr(parseval, "_orbit_walk", odd_walk)
     with pytest.raises(ArithmeticError, match="odd-length coefficient 1 should vanish, got 2"):
         parseval_rhs_series(2, 3)
+
+
+def test_lhs_counts_its_own_class_sizes():
+    # parseval_lhs's classes cover the ball once, and each class size is the
+    # number of distinct arrangements of xi and -xi, found by brute force here
+    # and not through the walk's orbit sizes, which lhs == rhs cross-checks
+    brute = {}
+    for d in range(1, 6):
+        for k in range(7):
+            classes = parseval._offset_classes(d, k)
+            assert sum(classes.values()) == series.lattice_points(d, k), (d, k)
+            for xi, size in classes.items():
+                if xi not in brute:
+                    brute[xi] = len({tuple(s * c for c in p) for p in permutations(xi) for s in (1, -1)})
+                assert size == brute[xi], (d, k, xi)
 
 
 def test_rhs_matches_lhs_at_larger_d():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from offsetwords import series
 from offsetwords.core import count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
 from offsetwords.asymptotics import normalized_bessel_series
-from offsetwords.parseval import _orbit_size, offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
+from offsetwords.parseval import offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
 from offsetwords.errors import BudgetExceededError
 from offsetwords.series import (
     LaurentTable,
@@ -137,7 +138,16 @@ def test_spectral_series_matches_pair_sum(d, r, truncation):
         assert table.entries[eta].coeffs == tuple(F(c) for c in row), eta
 
 
-def test_table_cells_are_bounded_before_building(monkeypatch):
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty store of orbit plans, so the test sees a cold build whatever
+    ran before it."""
+    plans = OrderedDict()
+    monkeypatch.setattr(series, "_PLANS", plans)
+    return plans
+
+
+def test_table_cells_are_bounded_before_building(monkeypatch, fresh_plans):
     # lattice_points(d, T) is the table's exponent count, so its size is known up front
     for d, truncation in ((1, 9), (2, 6), (3, 5), (4, 4)):
         points = lattice_points(d, truncation)
@@ -148,7 +158,7 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError, match="cells"):
         check_table_size(8, 24)
     # the walk consults the cap before its first step, the enumeration of the
-    # ball; d=2, T=10 has 221 * 11 cells
+    # ball; d=2, T=10 has 221 * 11 cells, and the d = 2 plan covers only T = 6
     monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2000)
     with monkeypatch.context() as patched:
         patched.setattr(series, "_sorted_ball", lambda *args: pytest.fail("walk started past the cap"))
@@ -156,6 +166,7 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
             spectral_series(2, 1, 10)
         with pytest.raises(BudgetExceededError):
             parseval_rhs_series(2, 5)
+    assert fresh_plans[2].truncation == 6
     assert len(spectral_series(2, 1, 9).entries) == lattice_points(2, 9)
 
 
@@ -163,36 +174,37 @@ def test_table_cells_are_bounded_before_building(monkeypatch):
 @given(d=st.integers(1, 6), truncation=st.integers(0, 8))
 def test_orbits_partition_the_ball(d, truncation):
     reps, layers = series._orbit_walk(d, truncation)
-    members = series._orbit_members(d)
+    members = series._orbit_members(d, {})
     orbits = [members(rep) for rep in reps]
     ball = list(offsets_with_norm_at_most(d, truncation))
     # every member lies in the orbit of its representative, and no exponent
     # falls in two orbits or in none
     for rep, orbit in zip(reps, orbits):
-        assert len(set(orbit)) == len(orbit) == _orbit_size(rep)
+        assert len(set(orbit)) == len(orbit) == series._orbit_size(rep)
         for eta in orbit:
             assert min(tuple(sorted(eta)), tuple(sorted(-c for c in eta))) == rep
     assert sorted(eta for orbit in orbits for eta in orbit) == sorted(ball)
-    assert sum(map(_orbit_size, reps)) == lattice_points(d, truncation) == len(ball)
+    assert sum(map(series._orbit_size, reps)) == lattice_points(d, truncation) == len(ball)
     # layer n lists the orbits of norm <= n, which come first
     norms = [sum(map(abs, rep)) for rep in reps]
     assert norms == sorted(norms)
     assert [len(layer) for layer in layers] == [sum(c <= n for c in norms) for n in range(truncation + 1)]
 
 
-def test_orbit_work_guard(monkeypatch):
-    # the walk fills one slot per orbit, and the table expands each orbit once
+def test_orbit_work_guard(monkeypatch, fresh_plans):
+    # the walk fills one slot per orbit, and the plan expands each orbit once
     # into exactly its members: a return to d! arrangements per orbit, or to
     # one row per exponent, changes these counts
     orbits = {(2, 24): 313, (3, 16): 576, (4, 10): 296, (6, 8): 207, (10, 4): 21}
     for (d, truncation), count in orbits.items():
         reps, layers = series._orbit_walk(d, truncation)
         assert len(reps) == len(layers[-1]) == count, (d, truncation)
+    fresh_plans.clear()  # the counts below are those of the cold build
     generated = []
     orbit_members = series._orbit_members
 
-    def counting_members(d):
-        members = orbit_members(d)
+    def counting_members(d, scatters):
+        members = orbit_members(d, scatters)
 
         def spy(rep):
             out = members(rep)
@@ -215,6 +227,76 @@ def test_orbit_work_guard(monkeypatch):
     assert sum(generated) == len(table.entries) == lattice_points(10, 4) == 8361
     # only nonzero entries are arranged (at most T = 4 of them), never the zeros
     assert arranged and max(arranged) <= 4
+
+
+def _walk_outputs(d, truncation):
+    """What the walk's readers return at (d, T).  Tables are compared whole:
+    equal entries of ints write the same to_json(), which takes far longer
+    than the table itself at d = 5, T = 10."""
+    reps, layers = series._orbit_walk(d, truncation)
+    tables = [spectral_series(d, r, truncation) for r in (1, 2)]
+    return reps, layers, tables, parseval_rhs_series(d, truncation // 2).coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)), min_size=1, max_size=5))
+def test_plan_prefix_is_exact(requests):
+    # one store serves the drawn requests in their order, so a plan is built
+    # at T, grown from a smaller T, read as a prefix of a larger one, or
+    # evicted and rebuilt; each answer equals one from a plan built at T
+    with pytest.MonkeyPatch.context() as shared:
+        shared.setattr(series, "_PLANS", OrderedDict())
+        for d, truncation in requests:
+            got = _walk_outputs(d, truncation)
+            with pytest.MonkeyPatch.context() as cold:
+                cold.setattr(series, "_PLANS", OrderedDict())
+                want = _walk_outputs(d, truncation)
+                assert series._PLANS[d].truncation == truncation
+            assert got == want, (d, truncation)
+
+
+def test_plan_is_built_once_per_alphabet_size(monkeypatch, fresh_plans):
+    balls, arranged = [], []
+    sorted_ball, distinct_permutations = series._sorted_ball, series._distinct_permutations
+    monkeypatch.setattr(series, "_sorted_ball", lambda d, radius: balls.append((d, radius)) or sorted_ball(d, radius))
+    monkeypatch.setattr(series, "_distinct_permutations", lambda v: arranged.append(v) or distinct_permutations(v))
+    spectral_series(3, 1, 8)
+    assert balls == [(3, 8)] and arranged
+    # the same or a smaller T reads the plan: no ball, no new arrangement
+    arranged.clear()
+    spectral_series(3, 2, 8)
+    spectral_series(3, 1, 5)
+    parseval_rhs_series(3, 4)
+    series._orbit_walk(3, 0)
+    assert balls == [(3, 8)] and not arranged
+    # a larger T rebuilds once, and the grown plan serves every smaller T
+    parseval_rhs_series(3, 5)
+    spectral_series(3, 3, 9)
+    series._orbit_walk(3, 10)
+    assert balls == [(3, 8), (3, 10)] and fresh_plans[3].truncation == 10
+    # at most four alphabet sizes; the least recently used one goes
+    for d in (1, 2, 4):
+        series._orbit_walk(d, 2)
+    assert list(fresh_plans) == [3, 1, 2, 4]
+    assert fresh_plans[1].scatters == {}  # arranged only once a table asks
+    series._orbit_walk(3, 1)
+    series._orbit_walk(5, 2)
+    assert list(fresh_plans) == [2, 4, 3, 5]
+    series._orbit_walk(1, 2)
+    assert balls[-1] == (1, 2) and list(fresh_plans) == [4, 3, 5, 1]
+
+
+def test_mutated_layers_do_not_reach_the_next_walk(fresh_plans):
+    # the plan's walk geometry is made of tuples and every walk returns fresh
+    # layer lists, so a caller that edits them, as the odd-parity test does,
+    # changes nothing
+    want = _walk_outputs(2, 6)
+    reps, layers = series._orbit_walk(2, 6)
+    layers[1][reps.index((0, 0))] += 1
+    layers[3].clear()
+    layers.append([7])
+    assert _walk_outputs(2, 6) == want
+    assert all(isinstance(field, tuple) for field in fresh_plans[2][1:-1])
 
 
 def test_non_integer_arguments_are_refused():
