@@ -60,8 +60,8 @@ def load_file(path: str) -> dict:
     values: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.split("#", 1)[0]
+            if not line.strip():
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
@@ -69,15 +69,18 @@ def load_file(path: str) -> dict:
             key = key.strip()
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _as_int(value.strip(), f"{path}:{lineno}: {key}")
+            values[key] = _as_int(value, f"{path}:{lineno}: {key}")
     return values
 
 
 def _as_int(text: str, source: str) -> int:
+    """int(text), which skips its own whitespace around the digits; str.strip
+    would also drop separators such as U+001F that int() refuses."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+        shown = text.strip(" \t\r\n")
+        raise ValueError(f"{source} must be an integer, got {shown!r}") from None
 
 
 def load_settings(config_path: str | None = None) -> Budget:

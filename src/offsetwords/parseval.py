@@ -108,17 +108,18 @@ def parseval_rhs_series(d: int, k_max: int, *, budget: Budget = DEFAULT_BUDGET) 
     with Q_n the x^n layer of the length-2k_max walk (``series._orbit_walk``).
     The walk keeps each layer once per orbit, so <Q_i, Q_j> is
     sum_o size(o) Q_i[o] Q_j[o], with the orbit sizes read from the walk's
-    plan (``series._orbit_plan``); pairs i < j are summed once and doubled.
+    plan (``series._orbit_plan``, fetched once); pairs i < j are summed once
+    and doubled.
     Surviving exponents are even and are halved to land on the common
     index.  ``budget.parseval_k_cap`` bounds k_max.
     """
     _check_order(k_max)
     budget.check_parseval(k_max)
-    reps, layers = _orbit_walk(d, 2 * k_max)
-    sizes = _orbit_plan(d, 2 * k_max).sizes[: len(reps)]
+    plan = _orbit_plan(d, 2 * k_max)
+    layers = _orbit_walk(plan)
     acc = [0] * len(layers)
     for i, small in enumerate(layers[: k_max + 1]):
-        weighted = list(map(operator.mul, sizes, small))
+        weighted = list(map(operator.mul, plan.sizes, small))
         for j, big in enumerate(layers[i : len(layers) - i], i):
             dot = sum(map(operator.mul, weighted, big))
             acc[i + j] += dot if i == j else 2 * dot
@@ -151,6 +152,8 @@ def parseval_numeric_check(d: int, x: float, grid_size: int | None = None, k_max
     rhs is the grid quadrature of the squared density at sqrt(x).  k_max is
     at most 12, a fixed limit.
     """
+    if d < 1:
+        raise ValueError("need d >= 1")
     if not 0.0 <= x < 1.0 / d**2:
         raise ValueError(f"x = {x} outside [0, 1/d^2) for d = {d}")
     _check_order(k_max)

@@ -172,6 +172,8 @@ def spectral_density_eval(x: float, theta, r: int = 1) -> float:
 
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d = theta.shape[-1]
+    if d < 1:
+        raise ValueError("need d >= 1")
     if abs(x) >= 1.0 / d:
         raise StabilityError(f"|x| = {abs(x)} is outside the stability region |x| < 1/{d}")
     p = np.exp(1j * r * theta).sum(axis=-1)

@@ -12,24 +12,21 @@ under global negation, so the recurrence runs once per orbit, at the
 representative min(sorted eta, sorted -eta), and the table writes each
 orbit's row under every member of the orbit.
 
-The orbits, the recurrence's edges between them, the orbit sizes and the
-gatherers that list an orbit's members depend only on d and the truncation T,
-so they form one plan per alphabet size (``_orbit_plan``): tuples, plus the
-gatherers, which are added by pattern as tables first meet it.  It is
-built at the largest T asked so far and read as a prefix by every smaller T:
-orbits are ordered by norm and, within a norm, by an order that does not
-depend on T (``_orbit_walk`` gives the argument).  Plans are kept for at most
-``_PLAN_CAP`` alphabet sizes, and each is built only after the cell cap
-admits its T.
+The orbits, the recurrence's edges between them and the orbit sizes depend
+only on d and the truncation T, so they form one plan per (d, T)
+(``_orbit_plan``), built only after the cell cap admits T.  The gatherers
+that list an orbit's members depend only on d and the orbit's pattern of
+repeats, so tables at every T share them (``_scatters``).  Both are kept by
+``functools.lru_cache`` for at most ``_PLAN_CAP`` keys.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -37,14 +34,15 @@ from typing import NamedTuple, Sequence
 from .core import as_offset, count_row
 from .errors import BudgetExceededError
 
-# Cells (exponents times orders) a spectral table may hold: d=3, T=40 and
-# d=6, T=12 fit, d=8, T=24 does not.
+# Cells a spectral table may hold, each exponent counted as its T + 1 orders
+# and its d key ints: d=3, T=40 and d=6, T=12 fit; d=8, T=24 and d=1000, T=2
+# do not.
 _TABLE_CELL_CAP = 10_000_000
 
-# Alphabet sizes whose orbit plan (_orbit_plan) is kept; a fixed limit, not a
-# Budget cap.  Each plan is bounded by the cell cap it was checked against.
-_PLAN_CAP = 4
-_PLANS = OrderedDict()  # d -> _OrbitPlan, the most recently used last
+# Orbit plans kept, one per (d, T), and member gatherer lists kept, one per
+# (d, pattern of repeats); a fixed limit, not a Budget cap.  gf-sweeps asks
+# for 28 (d, T) pairs and meets at most 28 (d, pattern) pairs, so it keeps all.
+_PLAN_CAP = 64
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -224,12 +222,12 @@ class LaurentTable:
         return self.entries.get(xi, XSeries.zero(self.truncation))
 
     def to_json_dict(self) -> dict:
+        # the members of an orbit share one XSeries, converted once
+        rows = {id(row): row for row in self.entries.values()}
+        rows = {key: row.to_json_dict() for key, row in rows.items()}
         return {
             "d": self.d,
-            "entries": [
-                {"exp": list(exp), "series": self.entries[exp].to_json_dict()}
-                for exp in sorted(self.entries)
-            ],
+            "entries": [{"exp": list(exp), "series": rows[id(self.entries[exp])]} for exp in sorted(self.entries)],
         }
 
     def to_json(self) -> str:
@@ -243,8 +241,8 @@ def lattice_points(d: int, radius: int) -> int:
 
 def check_table_size(d: int, truncation: int) -> None:
     """Refuse, before anything is allocated, a table whose lattice_points(d, T)
-    exponents times T + 1 orders exceed the fixed cell cap."""
-    cells = lattice_points(d, truncation) * (truncation + 1)
+    exponents times T + 1 orders and d key ints exceed the fixed cell cap."""
+    cells = lattice_points(d, truncation) * (truncation + 1 + d)
     if cells > _TABLE_CELL_CAP:
         raise BudgetExceededError(
             f"spectral table at d = {d}, T = {truncation} needs {cells} cells, "
@@ -306,48 +304,48 @@ def _gatherer(indices: list):
     return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
-def _orbit_members(d: int, scatters: dict):
-    """A function listing the members of an orbit from its representative.
+def _orbit_members(d: int, rep: tuple) -> list:
+    """The members of the orbit of a sorted representative.
 
     A member is a distinct arrangement of the nonzero entries of rep or of
-    -rep, placed on one support of that size among the d coordinates.  The
-    gatherers that build members depend only on the pattern of repeats in
-    the nonzero entries, so the first side with a pattern turns it into one
-    gatherer per member, kept in ``scatters`` by pattern, and a member then
-    costs one gatherer call: O(members) work, not d! per orbit.
+    -rep, placed on one support of that size among the d coordinates.  Each
+    side's gatherers come from ``_scatters``, so a member costs one
+    gatherer call: O(members) work, not d! per orbit.
     """
+    nonzero = tuple([c for c in rep if c])
+    negated = _negated(nonzero)
+    out = []
+    for side in (nonzero,) if negated == nonzero else (nonzero, negated):
+        out += [put(side + (0,)) for put in _scatters(d, tuple(map(side.index, side)))]
+    return out
 
-    def members(rep: tuple) -> list:
-        nonzero = tuple([c for c in rep if c])
-        negated = _negated(nonzero)
-        out = []
-        for side in (nonzero,) if negated == nonzero else (nonzero, negated):
-            pattern, s = tuple(map(side.index, side)), len(side)
-            if pattern not in scatters:
-                spread = [
-                    _gatherer([support.index(j) if j in support else s for j in range(d)])
-                    for support in itertools.combinations(range(d), s)
-                ]
-                scatters[pattern] = [_gatherer(put(a + (s,))) for a in _distinct_permutations(pattern) for put in spread]
-            out += [put(side + (0,)) for put in scatters[pattern]]
-        return out
 
-    return members
+@functools.lru_cache(maxsize=_PLAN_CAP)
+def _scatters(d: int, pattern: tuple) -> tuple:
+    """One gatherer per member of a sorted side with this pattern of repeats
+    (``tuple(map(side.index, side))``): called on side + (0,), it returns
+    the member.  The gatherers depend only on d and the pattern, not on the
+    values or on T."""
+    s = len(pattern)
+    spread = [
+        _gatherer([support.index(j) if j in support else s for j in range(d)])
+        for support in itertools.combinations(range(d), s)
+    ]
+    return tuple(_gatherer(put(a + (s,))) for a in _distinct_permutations(pattern) for put in spread)
 
 
 class _OrbitPlan(NamedTuple):
-    """What the orbit walk and its readers reuse at one alphabet size
-    (``_orbit_plan``); every field but ``scatters`` is an int or a tuple."""
+    """What the orbit walk and its readers reuse at one (d, T)
+    (``_orbit_plan``); every field is a tuple."""
 
-    truncation: int
     reps: tuple  # orbit representatives, ordered by norm
     ends: tuple  # ends[n]: the number of orbits of norm <= n
     steps: tuple  # steps[j][o]: the orbit of reps[o] - e_(reps[o][j]), or len(reps) off the ball
     births: tuple  # births[n]: (o, multinomial(-reps[o])) for the orbits of norm n with rep <= 0
     sizes: tuple  # sizes[o]: _orbit_size(reps[o])
-    scatters: dict  # _orbit_members' gatherers by pattern of repeats, added as tables meet them
 
 
+@functools.lru_cache(maxsize=_PLAN_CAP)
 def _build_plan(d: int, truncation: int) -> _OrbitPlan:
     """The orbit plan over the ball ||eta||_1 <= truncation."""
     ball = sorted(_sorted_ball(d, truncation), key=operator.itemgetter(1))
@@ -370,33 +368,25 @@ def _build_plan(d: int, truncation: int) -> _OrbitPlan:
         )
         for n in range(truncation + 1)
     )
-    return _OrbitPlan(truncation, tuple(reps), tuple(ends), steps, births, tuple(map(_orbit_size, reps)), {})
+    return _OrbitPlan(tuple(reps), tuple(ends), steps, births, tuple(map(_orbit_size, reps)))
 
 
 def _orbit_plan(d: int, truncation: int) -> _OrbitPlan:
-    """The orbit plan of alphabet size d, covering every norm <= truncation.
+    """The orbit plan of alphabet size d over every norm <= truncation.
 
-    One plan is kept per d, at the largest truncation asked so far; a
-    request at T <= plan.truncation reads its prefix, reps[:ends[T]] and
-    births[:T + 1], and a larger T rebuilds the plan once and replaces it.
-    Plans are kept for at most ``_PLAN_CAP`` alphabet sizes, and the least
-    recently used is dropped.  The cell cap of ``check_table_size`` is
-    checked on every request, before any plan is built.
+    The cell cap of ``check_table_size`` is checked on every request, before
+    any plan is built; ``_build_plan`` keeps the plans of the ``_PLAN_CAP``
+    most recently used (d, T) pairs.
     """
     d, _, truncation = _check_expansion_args(d, 1, truncation)
     check_table_size(d, truncation)
-    plan = _PLANS.get(d)
-    if plan is None or plan.truncation < truncation:
-        plan = _PLANS[d] = _build_plan(d, truncation)
-    _PLANS.move_to_end(d)
-    if len(_PLANS) > _PLAN_CAP:
-        _PLANS.popitem(last=False)
-    return plan
+    return _build_plan(d, truncation)
 
 
-def _orbit_walk(d: int, truncation: int) -> tuple:
-    """The x^n layers Q_0, ..., Q_truncation of the spectral density of
-    1 - x(z_1+...+z_d), on orbits of coordinate permutation and negation.
+def _orbit_walk(plan: _OrbitPlan) -> list:
+    """The x^n layers Q_0, ..., Q_T of the spectral density of
+    1 - x(z_1+...+z_d), on orbits of coordinate permutation and negation,
+    for the plan of ``_orbit_plan(d, T)``.
 
     Q_n = sum_k S(z)^k S(z^-1)^(n-k), S(z) = z_1 + ... + z_d, is the MacMahon
     pair sum of multinomial(kappa)*multinomial(kappa') over |kappa| + |kappa'| = n
@@ -409,27 +399,14 @@ def _orbit_walk(d: int, truncation: int) -> tuple:
     The sum over coordinates is the sum over distinct values v of rep of
     mult(v) Q_(n-1) at the orbit of rep - e_v, where e_v lowers the first
     occurrence of v, so the tuple stays sorted.  The orbits, these edges
-    (each one index) and the birth terms depend only on d and the ball's
-    radius, so they come from the plan of ``_orbit_plan`` and only the
-    layer loop runs per call.  Returns (reps, layers): orbits are ordered by
-    norm, and layers[n][o] is Q_n at reps[o] for the orbits of norm <= n,
-    beyond which Q_n vanishes; the layers are fresh lists.
-
-    A plan built at a larger radius gives the same layers.  Its orbits are
-    sorted by norm and, within a norm, by the lexicographic order of the
-    sorted tuples, which does not depend on the radius, so the orbits of
-    norm <= T are the plan's first ends[T] and every index below is the
-    same.  At layer n the walk reads steps only of orbits of norm <= n, and
-    an edge from them reaches norm n + 1 at most: such an orbit, or a slot
-    past the ball, lies beyond Q_(n-1)'s orbits and reads its zero padding
-    whether or not the orbit is in the plan.  Refuses up front a table above
-    the cell cap of ``check_table_size``; never calls the counting kernel.
+    (each one index) and the birth terms come from the plan, and only the
+    layer loop runs per call.  layers[n][o] is Q_n at plan.reps[o] for the
+    orbits of norm <= n, beyond which Q_n vanishes; the layers are fresh
+    lists.  Never calls the counting kernel.
     """
-    d, _, truncation = _check_expansion_args(d, 1, truncation)
-    plan = _orbit_plan(d, truncation)
     steps, ends, outside = plan.steps, plan.ends, len(plan.reps)
     layers = [[1]]  # Q_0 = 1 at eta = 0, the only orbit of norm 0
-    for n in range(1, truncation + 1):
+    for n in range(1, len(ends)):
         prev = layers[-1]
         read = (prev + [0] * (outside + 1 - len(prev))).__getitem__
         layer = map(read, steps[0][: ends[n]])  # the first step's cut stops the sum
@@ -439,7 +416,7 @@ def _orbit_walk(d: int, truncation: int) -> tuple:
         for o, birth in plan.births[n]:  # the orbits of norm n: S(z^-1)^n
             layer[o] += birth
         layers.append(layer)
-    return plan.reps[: ends[truncation]], layers
+    return layers
 
 
 def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
@@ -449,14 +426,13 @@ def spectral_series(d: int, r: int, truncation: int) -> LaurentTable:
     at the orbit of eta, kept as an int: the density in z^r is the r = 1
     density with every exponent scaled by r.  Each orbit's row is wrapped
     once, and the frozen XSeries is written under every member of the orbit,
-    read with the plan's gatherers from the orbit's sides scaled by r.
+    listed by ``_orbit_members`` from the orbit's representative scaled by r.
     """
     d, r, truncation = _check_expansion_args(d, r, truncation)
-    reps, layers = _orbit_walk(d, truncation)
-    members = _orbit_members(d, _orbit_plan(d, truncation).scatters)
+    plan = _orbit_plan(d, truncation)
     entries = {}
-    for rep, row in zip(reps, itertools.zip_longest(*layers, fillvalue=0)):
-        entries.update(dict.fromkeys(members(tuple([r * c for c in rep])), XSeries(row)))
+    for rep, row in zip(plan.reps, itertools.zip_longest(*_orbit_walk(plan), fillvalue=0)):
+        entries.update(dict.fromkeys(_orbit_members(d, tuple([r * c for c in rep])), XSeries(row)))
     return LaurentTable(d=d, r=r, truncation=truncation, entries=entries)
 
 

@@ -354,6 +354,8 @@ _malformed_line = st.one_of(
 @example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0"], None))
 @example(case=("r >= 1", ["series", "--xi", "1,0", "--trunc", "5", "--r", "0", "--ogf"], None))
 @example(case=("k = -1", ["parseval", "--d", "2", "--k", "-1"], None))
+# str.strip drops a trailing U+001F, but int() refuses it
+@example(case=(None, ["count", "--n", "1", "--xi", "0,0"], "oracle_max_strings = 0\x1f"))
 def test_malformed_input_exits_2_with_a_message(case):
     fragment, argv, config_line = case
     with tempfile.TemporaryDirectory() as tmp:

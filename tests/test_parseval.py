@@ -61,10 +61,10 @@ def test_rhs_never_counts_through_core(monkeypatch):
 
 def test_odd_parity_term_is_refused(monkeypatch):
     # Q_1 holds only odd |eta|_1; a stray term at eta = 0 meets Q_0 at x^1
-    def odd_walk(d, truncation):
-        reps, layers = series._orbit_walk(d, truncation)
-        layers[1][reps.index((0,) * d)] += 1
-        return reps, layers
+    def odd_walk(plan):
+        layers = series._orbit_walk(plan)
+        layers[1][plan.reps.index((0, 0))] += 1
+        return layers
 
     monkeypatch.setattr(parseval, "_orbit_walk", odd_walk)
     with pytest.raises(ArithmeticError, match="odd-length coefficient 1 should vanish, got 2"):
@@ -171,6 +171,13 @@ def test_numeric_check():
         parseval_numeric_check(2, 0.25)
     with pytest.raises(ValueError):
         parseval_numeric_check(2, -0.01)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_numeric_check_refuses_an_empty_alphabet(d):
+    # before the x range, which divides by d, and before any row is counted
+    with pytest.raises(ValueError, match=r"^need d >= 1$"):
+        parseval_numeric_check(d, 0.1)
 
 
 @pytest.mark.parametrize("d, x, k_max", ((1, 0.6, 12), (2, 0.1, 10), (2, 0.24, 6), (3, 0.05, 10), (3, 0.1, 12)))

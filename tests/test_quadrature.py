@@ -58,6 +58,12 @@ def test_spectral_density_eval():
         spectral_density_eval(0.5, [0.0, 0.0])
 
 
+def test_spectral_density_eval_refuses_an_empty_alphabet():
+    # before the stability bound 1/d
+    with pytest.raises(ValueError, match=r"^need d >= 1$"):
+        spectral_density_eval(0.1, [])
+
+
 def test_fourier_numeric_examples():
     assert abs(fourier_coefficient_numeric((0, 0), 0.0)) == 1.0
     # vanishing when r does not divide xi

@@ -1,14 +1,13 @@
 import json
 import math
 import random
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetwords import series
+from offsetwords import cli, series
 from offsetwords.core import count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
 from offsetwords.asymptotics import normalized_bessel_series
@@ -139,12 +138,11 @@ def test_spectral_series_matches_pair_sum(d, r, truncation):
 
 
 @pytest.fixture
-def fresh_plans(monkeypatch):
-    """An empty store of orbit plans, so the test sees a cold build whatever
+def fresh_plans():
+    """Empty plan and gatherer caches, so the test sees a cold build whatever
     ran before it."""
-    plans = OrderedDict()
-    monkeypatch.setattr(series, "_PLANS", plans)
-    return plans
+    series._build_plan.cache_clear()
+    series._scatters.cache_clear()
 
 
 def test_table_cells_are_bounded_before_building(monkeypatch, fresh_plans):
@@ -153,29 +151,39 @@ def test_table_cells_are_bounded_before_building(monkeypatch, fresh_plans):
         points = lattice_points(d, truncation)
         assert points == len(spectral_series(d, 1, truncation).entries)
         assert points == sum(1 for _ in offsets_with_norm_at_most(d, truncation))
-    check_table_size(3, 40)  # 3.6M cells
-    check_table_size(6, 12)  # 4.8M cells
+    check_table_size(3, 40)  # 3.9M cells
+    check_table_size(6, 12)  # 7.0M cells
     with pytest.raises(BudgetExceededError, match="cells"):
         check_table_size(8, 24)
     # the walk consults the cap before its first step, the enumeration of the
-    # ball; d=2, T=10 has 221 * 11 cells, and the d = 2 plan covers only T = 6
-    monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2000)
+    # ball; d=2, T=10 has 221 * (11 + 2) = 2,873 cells, T=9 has 2,172
+    monkeypatch.setattr(series, "_TABLE_CELL_CAP", 2500)
     with monkeypatch.context() as patched:
         patched.setattr(series, "_sorted_ball", lambda *args: pytest.fail("walk started past the cap"))
         with pytest.raises(BudgetExceededError):
             spectral_series(2, 1, 10)
         with pytest.raises(BudgetExceededError):
             parseval_rhs_series(2, 5)
-    assert fresh_plans[2].truncation == 6
+    assert series._build_plan.cache_info().currsize == 4  # only the admitted tables above
     assert len(spectral_series(2, 1, 9).entries) == lattice_points(2, 9)
+
+
+def test_key_ints_count_toward_the_cap(monkeypatch, capsys):
+    # at d = 1000, T = 2 the 2,002,001 exponents and 3 orders are 6.0M cells,
+    # but the keys alone are 2.0G ints: refused before the ball is enumerated
+    monkeypatch.setattr(series, "_sorted_ball", lambda *args: pytest.fail("walk started past the cap"))
+    with pytest.raises(BudgetExceededError, match="2008007003 cells"):
+        spectral_series(1000, 1, 2)
+    assert cli.main(["spectral-table", "--d", "1000", "--trunc", "2"]) == 3
+    assert "above the fixed limit" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 6), truncation=st.integers(0, 8))
 def test_orbits_partition_the_ball(d, truncation):
-    reps, layers = series._orbit_walk(d, truncation)
-    members = series._orbit_members(d, {})
-    orbits = [members(rep) for rep in reps]
+    plan = series._orbit_plan(d, truncation)
+    reps, layers = plan.reps, series._orbit_walk(plan)
+    orbits = [series._orbit_members(d, rep) for rep in reps]
     ball = list(offsets_with_norm_at_most(d, truncation))
     # every member lies in the orbit of its representative, and no exponent
     # falls in two orbits or in none
@@ -192,26 +200,21 @@ def test_orbits_partition_the_ball(d, truncation):
 
 
 def test_orbit_work_guard(monkeypatch, fresh_plans):
-    # the walk fills one slot per orbit, and the plan expands each orbit once
-    # into exactly its members: a return to d! arrangements per orbit, or to
-    # one row per exponent, changes these counts
+    # the walk fills one slot per orbit, and the gatherers expand each orbit
+    # once into exactly its members: a return to d! arrangements per orbit,
+    # or to one row per exponent, changes these counts
     orbits = {(2, 24): 313, (3, 16): 576, (4, 10): 296, (6, 8): 207, (10, 4): 21}
     for (d, truncation), count in orbits.items():
-        reps, layers = series._orbit_walk(d, truncation)
-        assert len(reps) == len(layers[-1]) == count, (d, truncation)
-    fresh_plans.clear()  # the counts below are those of the cold build
+        plan = series._orbit_plan(d, truncation)
+        assert len(plan.reps) == len(series._orbit_walk(plan)[-1]) == count, (d, truncation)
+    series._scatters.cache_clear()  # the counts below are those of the cold build
     generated = []
     orbit_members = series._orbit_members
 
-    def counting_members(d, scatters):
-        members = orbit_members(d, scatters)
-
-        def spy(rep):
-            out = members(rep)
-            generated.append(len(out))
-            return out
-
-        return spy
+    def counting_members(d, rep):
+        out = orbit_members(d, rep)
+        generated.append(len(out))
+        return out
 
     arranged = []
     distinct_permutations = series._distinct_permutations
@@ -233,70 +236,75 @@ def _walk_outputs(d, truncation):
     """What the walk's readers return at (d, T).  Tables are compared whole:
     equal entries of ints write the same to_json(), which takes far longer
     than the table itself at d = 5, T = 10."""
-    reps, layers = series._orbit_walk(d, truncation)
+    layers = series._orbit_walk(series._orbit_plan(d, truncation))
     tables = [spectral_series(d, r, truncation) for r in (1, 2)]
-    return reps, layers, tables, parseval_rhs_series(d, truncation // 2).coeffs
+    return layers, tables, parseval_rhs_series(d, truncation // 2).coeffs
 
 
 @settings(max_examples=25, deadline=None)
 @given(requests=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)), min_size=1, max_size=5))
-def test_plan_prefix_is_exact(requests):
-    # one store serves the drawn requests in their order, so a plan is built
-    # at T, grown from a smaller T, read as a prefix of a larger one, or
-    # evicted and rebuilt; each answer equals one from a plan built at T
-    with pytest.MonkeyPatch.context() as shared:
-        shared.setattr(series, "_PLANS", OrderedDict())
-        for d, truncation in requests:
-            got = _walk_outputs(d, truncation)
-            with pytest.MonkeyPatch.context() as cold:
-                cold.setattr(series, "_PLANS", OrderedDict())
-                want = _walk_outputs(d, truncation)
-                assert series._PLANS[d].truncation == truncation
-            assert got == want, (d, truncation)
+def test_cached_plans_are_exact(requests):
+    # the caches serve the drawn requests in their order, so a plan or a
+    # gatherer list is built cold or read warm, at this T or another one;
+    # each answer equals one from cold caches
+    series._build_plan.cache_clear()
+    series._scatters.cache_clear()
+    for d, truncation in requests:
+        got = _walk_outputs(d, truncation)
+        series._build_plan.cache_clear()
+        series._scatters.cache_clear()
+        assert got == _walk_outputs(d, truncation), (d, truncation)
 
 
-def test_plan_is_built_once_per_alphabet_size(monkeypatch, fresh_plans):
+def test_plan_is_built_once_per_pair(monkeypatch, fresh_plans):
     balls, arranged = [], []
     sorted_ball, distinct_permutations = series._sorted_ball, series._distinct_permutations
     monkeypatch.setattr(series, "_sorted_ball", lambda d, radius: balls.append((d, radius)) or sorted_ball(d, radius))
     monkeypatch.setattr(series, "_distinct_permutations", lambda v: arranged.append(v) or distinct_permutations(v))
     spectral_series(3, 1, 8)
     assert balls == [(3, 8)] and arranged
-    # the same or a smaller T reads the plan: no ball, no new arrangement
+    # the same (d, T) reads the plan: no ball; the same patterns scaled by r
+    # or met at a smaller T read the gatherers: no new arrangement
     arranged.clear()
     spectral_series(3, 2, 8)
-    spectral_series(3, 1, 5)
     parseval_rhs_series(3, 4)
-    series._orbit_walk(3, 0)
-    assert balls == [(3, 8)] and not arranged
-    # a larger T rebuilds once, and the grown plan serves every smaller T
+    spectral_series(3, 3, 5)
+    assert balls == [(3, 8), (3, 5)] and not arranged
+    # one ball per distinct (d, T), none on a repeat
     parseval_rhs_series(3, 5)
-    spectral_series(3, 3, 9)
-    series._orbit_walk(3, 10)
-    assert balls == [(3, 8), (3, 10)] and fresh_plans[3].truncation == 10
-    # at most four alphabet sizes; the least recently used one goes
-    for d in (1, 2, 4):
-        series._orbit_walk(d, 2)
-    assert list(fresh_plans) == [3, 1, 2, 4]
-    assert fresh_plans[1].scatters == {}  # arranged only once a table asks
-    series._orbit_walk(3, 1)
-    series._orbit_walk(5, 2)
-    assert list(fresh_plans) == [2, 4, 3, 5]
-    series._orbit_walk(1, 2)
-    assert balls[-1] == (1, 2) and list(fresh_plans) == [4, 3, 5, 1]
+    spectral_series(3, 1, 10)
+    series._orbit_plan(3, 8)
+    series._orbit_plan(3, 0)
+    series._orbit_plan(3, 0)
+    assert balls == [(3, 8), (3, 5), (3, 10), (3, 0)]
+    # one gatherer list per (d, pattern of repeats), built when a table first
+    # meets the pattern and read by every later table, at any r and T
+    spectral_series(4, 1, 6)
+    spectral_series(4, 2, 6)
+    spectral_series(4, 1, 4)
+    met = {
+        (d, tuple(map(side.index, side)))
+        for d, truncation in ((3, 10), (4, 6))
+        for rep in series._orbit_plan(d, truncation).reps
+        for nonzero in [tuple(c for c in rep if c)]
+        for side in (nonzero, series._negated(nonzero))
+    }
+    info = series._scatters.cache_info()
+    assert info.misses == info.currsize == len(met) and info.hits
+    assert series._build_plan.cache_info().maxsize == series._PLAN_CAP >= 31
 
 
 def test_mutated_layers_do_not_reach_the_next_walk(fresh_plans):
-    # the plan's walk geometry is made of tuples and every walk returns fresh
-    # layer lists, so a caller that edits them, as the odd-parity test does,
-    # changes nothing
+    # the plan is made of tuples and every walk returns fresh layer lists, so
+    # a caller that edits them, as the odd-parity test does, changes nothing
     want = _walk_outputs(2, 6)
-    reps, layers = series._orbit_walk(2, 6)
-    layers[1][reps.index((0, 0))] += 1
+    plan = series._orbit_plan(2, 6)
+    layers = series._orbit_walk(plan)
+    layers[1][plan.reps.index((0, 0))] += 1
     layers[3].clear()
     layers.append([7])
     assert _walk_outputs(2, 6) == want
-    assert all(isinstance(field, tuple) for field in fresh_plans[2][1:-1])
+    assert all(isinstance(field, tuple) for field in plan)
 
 
 def test_non_integer_arguments_are_refused():
@@ -353,6 +361,9 @@ def test_table_json_schema_and_determinism():
     assert table.to_json() == spectral_series(2, 1, 3).to_json()
     rebuilt = XSeries.from_json_dict(data["entries"][0]["series"])
     assert rebuilt.coeffs == table.entries[exps[0]].coeffs
+    # an orbit's members share one row, converted once; each entry still
+    # writes the series at its own exponent
+    assert all(e["series"] == table.entries[tuple(e["exp"])].to_json_dict() for e in data["entries"])
 
 
 def test_counts_stay_int_and_divisions_give_fraction():
