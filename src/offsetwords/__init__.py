@@ -31,7 +31,6 @@ from .series import (
     fourier_coefficient_series,
     ogf_w,
     spectral_series,
-    verify_determinantal,
 )
 from .quadrature import (
     TorusGrid,
@@ -112,3 +111,12 @@ __all__ = [
     "w_via_bessel",
     "weak_compositions",
 ]
+
+
+def __getattr__(name: str):
+    # verify holds every self-check suite: load it when its one export is read, not on import
+    if name == "verify_determinantal":
+        from .verify import verify_determinantal
+
+        return verify_determinantal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,7 @@ from .oracle import oracle_count, oracle_words
 from .parseval import pair_roster, parseval_lhs, parseval_numeric_check, parseval_rhs_series
 from .quadrature import integral_count, quadrature_threshold
 from .series import fourier_coefficient_series, ogf_w, spectral_series
-from .verify import SUITES, run_suites
+from .verify import SUITES, parseval_within_bound, run_suites
 
 SPHASE_CAVEAT = (
     "# ray-regime formula caveat: against exact counts the observed decay is "
@@ -153,7 +153,7 @@ def _cmd_parseval(args, budget: Budget) -> int:
             "series": f"{chk.lhs:.12f}",
             "quadrature": f"{chk.rhs:.12f}",
             "tail_bound": f"{chk.tail_bound:.3e}",
-            "within_bound": abs(chk.lhs - chk.rhs) <= chk.tail_bound + 1e-8,
+            "within_bound": parseval_within_bound(chk),
         }
     if args.json:
         print(_dump(report))

@@ -74,13 +74,16 @@ def load_file(path: str) -> dict:
 
 
 def _as_int(text: str, source: str) -> int:
-    """int(text), which skips its own whitespace around the digits; str.strip
-    would also drop separators such as U+001F that int() refuses."""
+    """A cap, nonnegative, read by int(), which skips its own whitespace around
+    the digits; str.strip would also drop separators such as U+001F that int() refuses."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
+        value = None
+    if value is None or value < 0:
         shown = text.strip(" \t\r\n")
-        raise ValueError(f"{source} must be an integer, got {shown!r}") from None
+        raise ValueError(f"{source} must be a nonnegative integer, got {shown!r}")
+    return value
 
 
 def load_settings(config_path: str | None = None) -> Budget:

@@ -27,6 +27,7 @@ load it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
@@ -170,6 +171,7 @@ def spectral_density_eval(x: float, theta, r: int = 1) -> float:
     angles; needs |x| < 1/d."""
     import numpy as np
 
+    r = operator.index(r)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d = theta.shape[-1]
     if d < 1:
@@ -222,6 +224,7 @@ def _density_coefficient(xi, x: float, r: int, grid_size: int | None, power: int
     degrades and the cap may refuse).
     """
     xi = as_offset(xi)
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"need r >= 1, got r = {r}")
     if abs(x) >= 1.0 / len(xi):

@@ -462,19 +462,3 @@ def ogf_w(xi, truncation: int) -> XSeries:
     """Order-indexed generating function: coefficient of x^n is the count of
     order-n words offset by xi."""
     return XSeries(tuple(count_row(truncation, xi)))
-
-
-def verify_determinantal(x, z: Sequence[complex], r: int, tol: float = 1e-12) -> bool:
-    """Check det(I_d - x J_d diag(z^r)) == 1 - x sum(z^r) at a point on the torus."""
-    import numpy as np
-
-    zarr = np.asarray(z, dtype=complex)
-    if np.max(np.abs(np.abs(zarr) - 1.0)) > 1e-9:
-        raise ValueError("points must lie on the unit polycircle")
-    d = len(zarr)
-    xf = float(x)
-    zr = zarr**r
-    mat = np.eye(d, dtype=complex) - xf * np.tile(zr, (d, 1))
-    det_form = np.linalg.det(mat)
-    direct = 1.0 - xf * np.sum(zr)
-    return bool(abs(det_form - direct) < tol)

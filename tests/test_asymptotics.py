@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetwords import asymptotics
+from offsetwords import asymptotics, verify
 from offsetwords.asymptotics import (
     bell_B,
     bell_B_via_power,
@@ -95,6 +95,12 @@ class TestHessian:
         with pytest.raises(ValueError):
             stationary_phase_hessian_det((2,))
 
+    def test_a_wrong_closed_form_fails_its_row(self, monkeypatch):
+        # the row compares the returned value itself, so a wrong value cannot pass quietly
+        monkeypatch.setattr(verify, "stationary_phase_hessian_det", lambda xi: stationary_phase_hessian_det(xi) * (1 + 1e-9))
+        (row,) = [r for r in verify.suite_asymptotics() if r.name.startswith("phase Hessian")]
+        assert not row.passed and row.detail.startswith("d=2: closed form")
+
 
 class TestBessel:
     def test_series_coefficients(self):
@@ -133,6 +139,13 @@ class TestCompleteBell:
         c = F(3, 2)
         scaled = [c**k * a[k - 1] for k in range(1, 7)]
         assert complete_bell(scaled) == c**6 * complete_bell(a)
+
+    def test_a_wrong_value_fails_its_row(self, monkeypatch):
+        # the bessel suite takes the Hessenberg determinant and compares; a wrong value names every n
+        monkeypatch.setattr(verify, "complete_bell", lambda a: complete_bell(a) + F(1, 10**9))
+        (row,) = [r for r in verify.suite_bessel() if r.name == "complete Bell dual routes agree"]
+        assert not row.passed and row.detail.startswith("n=1: exp-of-series")
+        assert all(f"n={n}:" in row.detail for n in range(1, 11))
 
 
 class TestBellB:

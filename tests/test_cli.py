@@ -300,12 +300,28 @@ def test_bad_config_file(capsys, tmp_path):
     cfg.write_text("# caps\nparseval_k_cap = twelve\n")
     code, _, err = run_cli(capsys, "--config", str(cfg), "count", "--n", "1", "--xi", "0,0")
     assert code == 2 and f"{cfg}:2" in err and "twelve" in err
+    # a negative cap is refused where it is read, not by the first check it trips
+    cfg.write_text("oracle_max_strings = 5\nparseval_k_cap = -1\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "parseval", "--d", "2", "--k", "0")
+    assert code == 2 and f"{cfg}:2" in err and "nonnegative" in err and "-1" in err
 
 
 def test_bad_config_env(capsys, monkeypatch):
     monkeypatch.setenv("OFFSETWORDS_SPECTRAL_TRUNC_CAP", "4O")
     code, _, err = run_cli(capsys, "count", "--n", "1", "--xi", "0,0")
     assert code == 2 and "OFFSETWORDS_SPECTRAL_TRUNC_CAP" in err and "4O" in err
+    monkeypatch.delenv("OFFSETWORDS_SPECTRAL_TRUNC_CAP")
+    for var, argv in (
+        ("OFFSETWORDS_PARSEVAL_K_CAP", ["parseval", "--d", "2", "--k", "0"]),
+        ("OFFSETWORDS_ORACLE_MAX_STRINGS", ["oracle", "--n", "1", "--xi", "1,0"]),
+    ):
+        monkeypatch.setenv(var, "-5")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and var in err and "nonnegative" in err and "-5" in err
+        monkeypatch.delenv(var)
+    # zero is still a cap: order k = 0 stays within it
+    monkeypatch.setenv("OFFSETWORDS_PARSEVAL_K_CAP", "0")
+    assert run_cli(capsys, "parseval", "--d", "2", "--k", "0")[0] == 0
 
 
 def _is_int(text: str) -> bool:
@@ -409,6 +425,15 @@ def test_import_loads_neither_numpy_nor_multiprocessing():
     # numpy is imported only by the code that uses it, and no path starts a process pool
     env = dict(os.environ, PYTHONPATH=str(Path(offsetwords.__file__).parents[1]))
     code = "import offsetwords, offsetwords.cli, sys; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    # the exact and closed-form routes run without it (only quadrature and verify
+    # import it), and the package loads verify only when verify_determinantal is read
+    code = (
+        "import sys, offsetwords as ow; ow.complete_bell([1, 2, 3]); ow.bell_B(4, 1, 3); "
+        "ow.stationary_phase_hessian_det((1, 1)); ow.spectral_series(2, 1, 4); "
+        "print(sorted({'numpy', 'offsetwords.verify'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
     code = (

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from offsetwords import cli, series
 from offsetwords.core import count_offset_words, multinomial, weak_compositions
 from offsetwords.oracle import oracle_count
-from offsetwords.asymptotics import normalized_bessel_series
+from offsetwords.asymptotics import bell_B, bell_B_via_power, normalized_bessel_series
 from offsetwords.parseval import offsets_with_norm_at_most, parseval_lhs, parseval_rhs_series
 from offsetwords.errors import BudgetExceededError
+from offsetwords.quadrature import fourier_coefficient_numeric, spectral_density_eval
 from offsetwords.series import (
     LaurentTable,
     XSeries,
@@ -21,8 +22,8 @@ from offsetwords.series import (
     lattice_points,
     ogf_w,
     spectral_series,
-    verify_determinantal,
 )
+from offsetwords.verify import verify_determinantal
 
 F = Fraction
 
@@ -317,6 +318,14 @@ def test_non_integer_arguments_are_refused():
         fourier_coefficient_series((1, 0), 2, 1, 4.0)
     with pytest.raises(TypeError):
         parseval_rhs_series(2.0, 2)
+    # the numeric and Bell routes: a fractional r or d defines no function on the torus
+    with pytest.raises(TypeError):
+        fourier_coefficient_numeric((1, 0), 0.1, r=1.5)
+    with pytest.raises(TypeError):
+        spectral_density_eval(0.1, [0.0, 1.0], r=1.5)
+    for route in (bell_B, bell_B_via_power):
+        with pytest.raises(TypeError):
+            route(2, 1, 2.5)
 
 
 def test_extraction_consistency(suite_runs):
